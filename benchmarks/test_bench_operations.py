@@ -12,7 +12,10 @@ import pytest
 from repro.analysis.tables import render_table
 from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
-from repro.sm.handover import SmRedundancyManager
+from repro.fabric.topology import TopologyMutation
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.sm.ha import HighAvailabilityManager
 from repro.sm.subnet_manager import SubnetManager
 from repro.virt.cloud import CloudManager
 
@@ -26,43 +29,58 @@ def fresh_sm():
     return built, sm
 
 
-def test_handover_state_sharing(benchmark):
-    """Standby takeover with shared state: discovery only."""
+def ha_sm(*, stale_successor=False):
+    """A configured SM under HA: three participants, master elected.
+
+    With *stale_successor*, replication to the next master is lost while
+    the SM recomputes its routing, so that standby's replica is stale.
+    """
     built, sm = fresh_sm()
-    mgr = SmRedundancyManager(sm)
+    ha = HighAvailabilityManager(sm)
     for i, hca in enumerate(built.topology.hcas[:3]):
-        mgr.register(hca.name, guid=i + 1, priority=1)
-    mgr.elect()
+        ha.register(hca.name, guid=i + 1, priority=1)
+    ha.bootstrap()
+    if stale_successor:
+        injector = FaultInjector(FaultPlan(seed=5))
+        sm.transport.set_fault_injector(injector)
+        successor = min(
+            (p for p in ha.participants() if not p.is_master),
+            key=lambda p: p.election_key(),
+        )
+        injector.isolate([successor.node_name])
+        sm.compute_routing()
+        assert ha.replication_failures > 0
+        injector.heal()
+    return (ha,), {}
 
-    def takeover():
-        mgr.kill_master()
-        report = mgr.handover(resweep=False)
-        # Revive everyone for the next round.
-        for cand in mgr.candidates():
-            cand.alive = True
-        return report
 
-    report = benchmark(takeover)
+def failover(ha):
+    """Kill the master; tick the lease protocol until a standby takes over."""
+    ha.kill_master()
+    report = None
+    while report is None:
+        report = ha.tick()
+    return report
+
+
+def test_handover_state_sharing(benchmark):
+    """Standby takeover with a current replica: the light sweep."""
+    report = benchmark.pedantic(failover, setup=ha_sm, rounds=3, iterations=1)
+    assert report.sweep_mode == "light"
     assert report.path_compute_seconds == 0.0
     assert report.lft_smps == 0
 
 
 def test_handover_resweep(benchmark):
-    """Naive restart-style takeover: pays PCt, distributes nothing new."""
-    built, sm = fresh_sm()
-    mgr = SmRedundancyManager(sm)
-    for i, hca in enumerate(built.topology.hcas[:3]):
-        mgr.register(hca.name, guid=i + 1, priority=1)
-    mgr.elect()
-
-    def takeover():
-        mgr.kill_master()
-        report = mgr.handover(resweep=True)
-        for cand in mgr.candidates():
-            cand.alive = True
-        return report
-
-    report = benchmark.pedantic(takeover, rounds=3, iterations=1)
+    """Takeover from a stale replica: the heavy sweep pays PCt (like the
+    ref-[10] prototype's SM restart) but distributes nothing new."""
+    report = benchmark.pedantic(
+        failover,
+        setup=lambda: ha_sm(stale_successor=True),
+        rounds=3,
+        iterations=1,
+    )
+    assert report.sweep_mode == "heavy"
     assert report.path_compute_seconds > 0
     assert report.lft_smps == 0
 
@@ -81,14 +99,10 @@ def test_link_failure_reroute(benchmark):
     def fail_and_repair():
         link = links[state["i"] % len(links)]
         state["i"] += 1
-        spec = (link.a.node, link.a.num, link.b.node, link.b.num)
+        restore = TopologyMutation.removing(link).restoring()
         report = sm.handle_link_failure(link)
         # Repair for the next round.
-        topo.connect(*spec)
-        topo.invalidate_fabric_view()
-        sm.transport.invalidate_distances()
-        sm.compute_routing()
-        sm.distribute()
+        sm.handle_topology_change(restore, verify=False)
         return report
 
     report = benchmark.pedantic(fail_and_repair, rounds=3, iterations=1)

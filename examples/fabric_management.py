@@ -3,8 +3,8 @@
 
 A tour of the management-plane machinery around the paper's contribution:
 
-1. SM election and handover (the ref-[10] prototype restarted the SM; a
-   state-sharing standby takes over for free);
+1. SM election and failover (the ref-[10] prototype restarted the SM; a
+   hot standby with a current replica takes over without recomputing);
 2. a cable failure: traps from both ends, recompute + diff distribution —
    the *legitimate* expensive reconfiguration, vs migrations at zero PCt;
 3. a spine switch failure: removed, rerouted, audited;
@@ -18,7 +18,7 @@ from repro.analysis.verification import verify_subnet
 from repro.core.reconfig import VSwitchReconfigurer
 from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
-from repro.sm.handover import SmRedundancyManager
+from repro.sm.ha import HighAvailabilityManager
 from repro.sm.subnet_manager import SubnetManager
 from repro.sm.traps import FabricEventManager, TrapType
 
@@ -34,19 +34,21 @@ def main() -> None:
         f" {report.lft_smps} LFT SMPs, PCt={report.path_compute_seconds * 1e3:.1f}ms"
     )
 
-    # 1. SM redundancy.
-    redundancy = SmRedundancyManager(sm)
+    # 1. SM high availability.
+    ha = HighAvailabilityManager(sm)
     hcas = built.topology.hcas
-    redundancy.register(hcas[0].name, guid=0x10, priority=3)
-    redundancy.register(hcas[1].name, guid=0x20, priority=3)
-    master = redundancy.elect()
+    ha.register(hcas[0].name, guid=0x10, priority=3)
+    ha.register(hcas[1].name, guid=0x20, priority=3)
+    master = ha.bootstrap()
     print(f"\nSM master: {master.node_name} (priority {master.priority})")
-    redundancy.kill_master()
-    takeover = redundancy.handover(resweep=False)
+    ha.kill_master()
+    takeover = None
+    while takeover is None:  # lease polls until the standby gives up
+        takeover = ha.tick()
     print(
-        f"master died; {redundancy.master.node_name} took over with"
+        f"master died; {ha.master.node_name} took over with"
         f" {takeover.lft_smps} LFT SMPs and PCt={takeover.path_compute_seconds}s"
-        " (state-sharing handover is free)"
+        f" ({takeover.sweep_mode} sweep from its replicated state)"
     )
 
     # 2. A cable fails.

@@ -19,7 +19,6 @@ from repro.analysis.figures import PAPER_FIG7_SECONDS, Fig7Series, render_fig7
 from repro.analysis.calibration import CalibratedConstants, calibrate
 from repro.analysis.plots import ascii_bars, render_fig7_chart
 from repro.analysis.report import generate_report
-from repro.analysis.sweeps import VfCapacityPoint, subnet_cost_sweep, vf_capacity_sweep
 from repro.analysis.static import (
     Finding,
     StaticAnalysisReport,
@@ -52,9 +51,6 @@ __all__ = [
     "CalibratedConstants",
     "calibrate",
     "render_fig7_chart",
-    "VfCapacityPoint",
-    "vf_capacity_sweep",
-    "subnet_cost_sweep",
     "Finding",
     "StaticAnalysisReport",
     "analyze_fabric",

@@ -8,7 +8,7 @@ integer-indexed view of the switch graph for the routing engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Dict,
@@ -105,6 +105,26 @@ class TopologyMutation:
                 for p, peer, pp in data.get("cables", [])
             ),
         )
+
+    @classmethod
+    def removing(cls, link: Link) -> "TopologyMutation":
+        """The ``remove_link`` that unplugs *link* at its two end ports."""
+        end_a, end_b = link.ends
+        return cls(
+            kind="remove_link",
+            a=end_a.node.name,
+            port_a=end_a.num,
+            b=end_b.node.name,
+            port_b=end_b.num,
+        )
+
+    def restoring(self) -> "TopologyMutation":
+        """The ``restore_link`` that re-plugs this removed cable."""
+        if self.kind != "remove_link":
+            raise TopologyError(
+                f"only remove_link can be restored, not {self.kind}"
+            )
+        return replace(self, kind="restore_link")
 
     def describe(self) -> str:
         """Compact human form for logs and chaos reports."""

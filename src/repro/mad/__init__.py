@@ -2,7 +2,6 @@
 
 from repro.mad.smp import Smp, SmpKind, SmpMethod, SmpResult, make_set_lft_block
 from repro.mad.transport import SmpTransport, TransportStats
-from repro.mad.wire import ATTR_PAYLOAD_SIZE, MAD_SIZE, decode_smp, encode_smp
 
 __all__ = [
     "Smp",
@@ -11,9 +10,5 @@ __all__ = [
     "SmpResult",
     "make_set_lft_block",
     "SmpTransport",
-    "MAD_SIZE",
-    "ATTR_PAYLOAD_SIZE",
-    "encode_smp",
-    "decode_smp",
     "TransportStats",
 ]

@@ -1,9 +1,8 @@
-"""Discrete-event engine, metrics and traces."""
+"""Discrete-event engine, data plane and metrics."""
 
 from repro.sim.dataplane import DataPlaneSimulator, DataPlaneStats, Packet
 from repro.sim.engine import Event, SimulationEngine, replay_smp_pipeline
 from repro.sim.metrics import Counter, Histogram, MetricRegistry, Timer
-from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "Event",
@@ -16,6 +15,4 @@ __all__ = [
     "Histogram",
     "MetricRegistry",
     "Timer",
-    "Trace",
-    "TraceRecord",
 ]

@@ -9,10 +9,8 @@ from repro.sm.deadlock import (
     transition_is_deadlock_free,
 )
 from repro.sm.discovery import DiscoveryReport, discover_subnet
-from repro.sm.handover import SmCandidate, SmRedundancyManager, SmState
 from repro.sm.lft_distribution import DistributionReport, LftDistributor
 from repro.sm.lid_manager import LidManager
-from repro.sm.perfmgt import LinkUtilization, PerformanceManager
 from repro.sm.subnet_manager import ConfigureReport, SubnetManager
 from repro.sm.traps import FabricEventManager, TrapRecord, TrapType
 
@@ -27,13 +25,8 @@ __all__ = [
     "DistributionReport",
     "LftDistributor",
     "LidManager",
-    "PerformanceManager",
-    "LinkUtilization",
     "ConfigureReport",
     "SubnetManager",
-    "SmCandidate",
-    "SmRedundancyManager",
-    "SmState",
     "FabricEventManager",
     "TrapRecord",
     "TrapType",

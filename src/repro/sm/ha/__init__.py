@@ -1,8 +1,8 @@
 """SM high availability: replicated hot-standby failover with fencing.
 
-The :class:`HighAvailabilityManager` replaces the stub redundancy manager
-with a full HA protocol — SMInfo state machine and lease-based liveness
-(:mod:`repro.sm.ha.sminfo`), sequence-numbered hot-standby replication
+The :class:`HighAvailabilityManager` runs the HA protocol — SMInfo state
+machine and lease-based liveness (:mod:`repro.sm.ha.sminfo`),
+sequence-numbered hot-standby replication
 (:mod:`repro.sm.ha.journal`), split-brain fencing via the monotonic SM
 generation checked in the transport, and light-vs-heavy failover sweeps
 whose SMP cost the :class:`~repro.sm.subnet_manager.ConfigureReport`

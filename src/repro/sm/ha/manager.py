@@ -1,7 +1,6 @@
 """The SM high-availability manager: leases, takeover, fencing, replication.
 
-Replaces the stub redundancy manager with a full HA protocol in which
-**every step consumes fault-injectable SMPs**:
+Every step of the protocol consumes fault-injectable SMPs:
 
 * **Liveness** — standbys poll the master with SubnGet(SMInfo)
   heartbeats through a short-fused :class:`~repro.mad.reliable.ReliableSmpSender`;
@@ -33,11 +32,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.errors import (
-    DistributionError,
     HighAvailabilityError,
     SmpTimeoutError,
     StaleGenerationError,
-    TransportError,
     UnreachableTargetError,
 )
 from repro.fabric.addressing import GUID
@@ -89,8 +86,6 @@ class HighAvailabilityManager:
         #: or partitioned master stays believed until its lease expires.
         self._believed_master: Optional[str] = None
         self.failovers = 0
-        #: Compat counter (mirrors the old redundancy manager's name).
-        self.handovers = 0
         self.demotions = 0
         self.replication_failures = 0
         self.fence_arm_failures = 0
@@ -582,7 +577,6 @@ class HighAvailabilityManager:
             self._arm_fence(winner)
             handshake = self.transport.stats.delta_since(before)
             self.failovers += 1
-            self.handovers += 1
             metrics.counter("repro_sm_failovers_total").add(1)
 
             replica = self._replicas.get(winner.node_name)
@@ -710,28 +704,3 @@ class HighAvailabilityManager:
         except (SmpTimeoutError, UnreachableTargetError):
             return "unreachable"
         return "still-master"
-
-    # -- compatibility shims (the old SmRedundancyManager surface) ------------
-
-    def elect(self) -> SmParticipant:
-        """Compat: bootstrap if never elected, else return the master."""
-        if self.master is None:
-            return self.bootstrap()
-        return self.master
-
-    def handover(self, *, resweep: bool = False) -> ConfigureReport:
-        """Compat: an explicit takeover (``resweep`` forces the heavy path)."""
-        old = self.master
-        if resweep:
-            # Invalidate the successor's replica so the heavy sweep runs.
-            for part in self.participants():
-                if part is not old:
-                    self._replicas.pop(part.node_name, None)
-        return self.failover(old)
-
-    def distribution_error_repair(self) -> None:
-        """Re-drive a distribution after a transient failure (compat hook)."""
-        try:
-            self.sm.distribute()
-        except (TransportError, DistributionError):
-            pass

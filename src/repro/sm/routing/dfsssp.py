@@ -18,28 +18,26 @@ Per-destination Dijkstra plus incremental cycle checking is what makes
 DFSSSP markedly slower than MinHop while staying far below LASH — the
 ordering Fig. 7 shows.
 
-Two implementations share this class. The default (``vectorized=True``)
-exploits that the metric is lexicographic (hop count first): every
-shortest-path tree is level-structured by the destination's BFS
-distances, so the Dijkstra relaxation collapses into one edge-array sweep
-per hop level with an ``np.lexsort`` winner selection that reproduces the
-reference heap's ``(hops, dist, node)`` pop order bit-for-bit. Subtree
-sizes, weight updates and CDG ingestion run on the same arrays
-(:class:`~repro.sm.routing.cdg_array.ArrayCdg`). ``vectorized=False`` is
-the original heapq implementation; the two produce byte-identical tables,
-VL assignments and edge weights (tests/sm/test_vectorized_identity.py).
+The implementation exploits that the metric is lexicographic (hop count
+first): every shortest-path tree is level-structured by the
+destination's BFS distances, so the Dijkstra relaxation collapses into
+one edge-array sweep per hop level with an ``np.lexsort`` winner
+selection that reproduces a ``(hops, dist, node)`` heap's pop order
+bit-for-bit. Subtree sizes, weight updates and CDG ingestion run on the
+same arrays (:class:`~repro.sm.routing.cdg_array.ArrayCdg`). A
+pure-Python heapq engine in ``tests/sm/reference_engines.py`` is the test
+oracle; the two produce byte-identical tables, VL assignments and edge
+weights (tests/sm/test_vectorized_identity.py).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import RoutingError
 from repro.fabric.graph import edge_sources
-from repro.sm.deadlock import ChannelDependencyGraph
 from repro.sm.routing.base import (
     RoutingAlgorithm,
     RoutingRequest,
@@ -56,15 +54,13 @@ class DFSSSPRouting(RoutingAlgorithm):
 
     name = "dfsssp"
 
-    def __init__(self, max_vls: int = 8, *, vectorized: bool = True) -> None:
+    def __init__(self, max_vls: int = 8) -> None:
         if max_vls < 1:
             raise RoutingError("need at least one virtual lane")
         self.max_vls = max_vls
-        self.vectorized = vectorized
 
     def compute(self, request: RoutingRequest) -> RoutingTables:
         view = request.view
-        n = request.num_switches
         ports = self._empty_tables(request)
         self._program_local_entries(ports, request)
 
@@ -88,41 +84,17 @@ class DFSSSPRouting(RoutingAlgorithm):
 
         lid_to_vl: Dict[int, int] = {}
         num_vls_used = 1
-
-        if self.vectorized:
-            esrc = edge_sources(view)
-            table = channel_table(view)
-            cid_edge = channel_ids(table, esrc, view.peer, n)
-            layers_v = [ArrayCdg(len(table)) for _ in range(self.max_vls)]
-            sweep = _LevelSweep(request, esrc)
-            for lid, dest_sw in dests:
-                parent_edge = sweep.tree(weights, dest_sw)
-                self._apply_tree(
-                    request, view, ports, lid, dest_sw, parent_edge
-                )
-                sweep.update_weights(weights, rev, dest_sw, parent_edge)
-                if lid in terminal_lids:
-                    vl = self._assign_layer_vec(
-                        layers_v, esrc, cid_edge, rev, parent_edge
-                    )
-                    lid_to_vl[lid] = vl
-                    num_vls_used = max(num_vls_used, vl + 1)
-                else:
-                    lid_to_vl[lid] = MANAGEMENT_VL
-        else:
-            layers = [ChannelDependencyGraph() for _ in range(self.max_vls)]
-            for lid, dest_sw in dests:
-                parent_edge = self._dijkstra_tree(view, weights, dest_sw)
-                self._apply_tree(
-                    request, view, ports, lid, dest_sw, parent_edge
-                )
-                self._update_weights(view, weights, rev, dest_sw, parent_edge)
-                if lid in terminal_lids:
-                    vl = self._assign_layer(view, layers, dest_sw, parent_edge)
-                    lid_to_vl[lid] = vl
-                    num_vls_used = max(num_vls_used, vl + 1)
-                else:
-                    lid_to_vl[lid] = MANAGEMENT_VL
+        sweep = self._sweep(request, rev)
+        for lid, dest_sw in dests:
+            parent_edge = sweep.tree(weights, dest_sw)
+            self._apply_tree(view, ports, lid, parent_edge)
+            sweep.update_weights(weights, dest_sw, parent_edge)
+            if lid in terminal_lids:
+                vl = sweep.assign_layer(parent_edge)
+                lid_to_vl[lid] = vl
+                num_vls_used = max(num_vls_used, vl + 1)
+            else:
+                lid_to_vl[lid] = MANAGEMENT_VL
 
         return RoutingTables(
             algorithm=self.name,
@@ -140,63 +112,15 @@ class DFSSSPRouting(RoutingAlgorithm):
             },
         )
 
-    # -- phase 1: weighted SSSP --------------------------------------------
+    def _sweep(
+        self, request: RoutingRequest, rev: np.ndarray
+    ) -> "_LevelSweep":
+        """Per-compute state running the tree, weight and layer steps."""
+        return _LevelSweep(request, rev, self.max_vls)
 
     @staticmethod
-    def _dijkstra_tree(
-        view, weights: np.ndarray, dest: int
-    ) -> np.ndarray:
-        """Shortest-path in-tree toward *dest* (reference implementation).
-
-        Returns ``parent_edge``: for each switch, the CSR index of the edge
-        (next hop -> switch) on its shortest path to *dest* (-1 at *dest*).
-        Run *from* the destination over the reversed graph — identical
-        because the graph is symmetric.
-
-        The metric is lexicographic (hop count, accumulated weight): paths
-        stay *minimal in hops* and the balancing weights only break ties
-        among minimal paths. This is what keeps per-destination trees
-        up/down-shaped on fat-trees (few virtual layers) while still
-        spreading load — longer detours would both lengthen paths and
-        manufacture avoidable dependency cycles.
-        """
-        n = view.num_switches
-        hops = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        dist = np.full(n, np.inf)
-        parent_edge = np.full(n, -1, dtype=np.int64)
-        hops[dest] = 0
-        dist[dest] = 0.0
-        heap: List[Tuple[int, float, int]] = [(0, 0.0, dest)]
-        done = np.zeros(n, dtype=bool)
-        while heap:
-            h, d, cur = heapq.heappop(heap)
-            if done[cur]:
-                continue
-            done[cur] = True
-            lo, hi = view.indptr[cur], view.indptr[cur + 1]
-            for k in range(lo, hi):
-                nb = int(view.peer[k])
-                if done[nb]:
-                    continue
-                # Relax the edge nb -> cur (the forward edge out of nb).
-                nh, nd = h + 1, d + weights[k]
-                if nh < hops[nb] or (nh == hops[nb] and nd < dist[nb]):
-                    hops[nb] = nh
-                    dist[nb] = nd
-                    parent_edge[nb] = k
-                    heapq.heappush(heap, (nh, nd, nb))
-        if (~done).any():
-            raise RoutingError("switch graph is disconnected")
-        return parent_edge
-
     def _apply_tree(
-        self,
-        request: RoutingRequest,
-        view,
-        ports: np.ndarray,
-        lid: int,
-        dest_sw: int,
-        parent_edge: np.ndarray,
+        view, ports: np.ndarray, lid: int, parent_edge: np.ndarray
     ) -> None:
         """Program next hops for *lid* from the in-tree."""
         # parent_edge stores the cur->s edge discovered during the reverse
@@ -204,105 +128,6 @@ class DFSSSPRouting(RoutingAlgorithm):
         # in_port (the port on s).
         rows = np.flatnonzero(parent_edge >= 0)
         ports[rows, lid] = view.in_port[parent_edge[rows]]
-
-    @staticmethod
-    def _update_weights(
-        view, weights: np.ndarray, rev: np.ndarray, dest_sw: int,
-        parent_edge: np.ndarray,
-    ) -> None:
-        """Add each tree edge's traffic share (its subtree size) to both
-        directions of the cable."""
-        n = view.num_switches
-        # Subtree sizes via reverse topological accumulation: children count
-        # into parents. Order switches by decreasing distance is implicit in
-        # repeated passes; a simple child->parent accumulation works because
-        # parent pointers form a DAG toward dest.
-        size = np.ones(n, dtype=np.int64)
-        order = _tree_order(view, parent_edge, dest_sw)
-        for s in order:  # leaves of the tree first
-            k = parent_edge[s]
-            if k < 0:
-                continue
-            parent = int(view.peer[rev[k]])  # forward edge s->parent
-            size[parent] += size[s]
-            weights[rev[k]] += size[s]
-            weights[k] += size[s]
-
-    # -- phase 2: virtual-layer assignment ----------------------------------
-
-    def _assign_layer(
-        self,
-        view,
-        layers: List[ChannelDependencyGraph],
-        dest_sw: int,
-        parent_edge: np.ndarray,
-    ) -> int:
-        """First layer that stays acyclic with this destination's deps."""
-        deps = self._tree_dependencies(view, parent_edge)
-        for vl, cdg in enumerate(layers):
-            if cdg.try_add_dependencies(deps):
-                return vl
-        raise RoutingError(
-            f"DFSSSP exceeded {self.max_vls} virtual lanes; fabric too twisted"
-        )
-
-    def _assign_layer_vec(
-        self,
-        layers: List[ArrayCdg],
-        esrc: np.ndarray,
-        cid_edge: np.ndarray,
-        rev: np.ndarray,
-        parent_edge: np.ndarray,
-    ) -> int:
-        """Array form of :meth:`_assign_layer` over the same dependency set.
-
-        The forward hop out of switch ``s`` is the reverse of
-        ``parent_edge[s]``; consecutive hops ``s -> b -> c`` yield the
-        channel dependency ``cid(s,b) -> cid(b,c)``.
-        """
-        has = parent_edge >= 0
-        nxt = np.full(parent_edge.shape[0], -1, dtype=np.int64)
-        nxt[has] = esrc[parent_edge[has]]
-        s_nodes = np.flatnonzero(has)
-        b_nodes = nxt[s_nodes]
-        chained = nxt[b_nodes] >= 0
-        s_nodes = s_nodes[chained]
-        b_nodes = b_nodes[chained]
-        d1 = cid_edge[rev[parent_edge[s_nodes]]]
-        d2 = cid_edge[rev[parent_edge[b_nodes]]]
-        for vl, cdg in enumerate(layers):
-            if cdg.try_add(d1, d2):
-                return vl
-        raise RoutingError(
-            f"DFSSSP exceeded {self.max_vls} virtual lanes; fabric too twisted"
-        )
-
-    @staticmethod
-    def _tree_dependencies(
-        view, parent_edge: np.ndarray
-    ) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
-        """Channel dependencies ((a,b) -> (b,c)) induced by the in-tree.
-
-        ``parent_edge[s]`` encodes the edge parent->s discovered by the
-        reverse Dijkstra, so the forward next hop of ``s`` is that edge's
-        CSR source switch.
-        """
-        n = view.num_switches
-        nxt = np.full(n, -1, dtype=np.int64)
-        for s in range(n):
-            k = parent_edge[s]
-            if k >= 0:
-                nxt[s] = _edge_source(view, k)
-        out: List[Tuple[Tuple[int, int], Tuple[int, int]]] = []
-        for s in range(n):
-            b = int(nxt[s])
-            if b < 0:
-                continue
-            c = int(nxt[b])
-            if c < 0:
-                continue
-            out.append(((s, b), (b, c)))
-        return out
 
 
 class _LevelSweep:
@@ -313,8 +138,9 @@ class _LevelSweep:
     level ``h-1`` to ``h``, and all level-``h-1`` labels are final before
     any level-``h`` switch is settled. One pass per level then selects, for
     every level-``h`` switch, the candidate edge minimizing
-    ``(dist, parent dist, edge index)`` — exactly the order the reference
-    heap pops and relaxes, so the chosen ``parent_edge`` is bit-identical.
+    ``(dist, parent dist, edge index)`` — exactly the order a
+    ``(hops, dist, node)`` Dijkstra heap pops and relaxes, so the chosen
+    ``parent_edge`` is bit-identical.
 
     Distances are sums of edge weights, weights start at one and only ever
     receive integer subtree-size increments, so every distance is an exact
@@ -328,12 +154,24 @@ class _LevelSweep:
     Hop rows are cached per destination switch (several LIDs share one),
     and the per-level edge grouping is reused while consecutive
     destinations stay on the same switch — LID assignment groups them.
+    The virtual layers are array CDGs over the same channel ids.
     """
 
-    def __init__(self, request: RoutingRequest, esrc: np.ndarray) -> None:
+    def __init__(
+        self, request: RoutingRequest, rev: np.ndarray, max_vls: int
+    ) -> None:
+        view = request.view
         self.request = request
-        self.view = request.view
-        self.esrc = esrc
+        self.view = view
+        self.rev = rev
+        self.max_vls = max_vls
+        self.esrc = edge_sources(view)
+        table = channel_table(view)
+        #: Channel id of every CSR edge.
+        self.cid_edge = channel_ids(
+            table, self.esrc, view.peer, view.num_switches
+        )
+        self.layers = [ArrayCdg(len(table)) for _ in range(max_vls)]
         self._rows: Dict[int, np.ndarray] = {}
         self._part_sw = -1
         self._part: Optional[Tuple] = None
@@ -442,19 +280,17 @@ class _LevelSweep:
         return parent_edge
 
     def update_weights(
-        self,
-        weights: np.ndarray,
-        rev: np.ndarray,
-        dest_sw: int,
-        parent_edge: np.ndarray,
+        self, weights: np.ndarray, dest_sw: int, parent_edge: np.ndarray
     ) -> None:
-        """Array form of :meth:`DFSSSPRouting._update_weights`.
+        """Add each tree edge's traffic share (its subtree size) to both
+        directions of the cable.
 
         Levels are processed deepest-first, so every subtree size is final
         when added to its parent and to both cable directions; the sums are
         integers in float64, making the result independent of the in-level
-        accumulation order and byte-identical to the reference.
+        accumulation order.
         """
+        rev = self.rev
         n = self.view.num_switches
         part = self._partition(dest_sw)
         node_order, nbounds, max_h = part[7], part[8], part[9]
@@ -477,12 +313,33 @@ class _LevelSweep:
             weights[ke] += fcontrib
             weights[kr] += fcontrib
         # Levels partition the switches, so every tree edge was visited
-        # exactly once — same single symmetric increment as the reference.
+        # exactly once — one symmetric increment per tree edge.
 
+    def assign_layer(self, parent_edge: np.ndarray) -> int:
+        """First virtual layer that stays acyclic with this in-tree's
+        channel dependencies.
 
-def _edge_source(view, edge_idx: int) -> int:
-    """The source switch of CSR edge *edge_idx* (binary search on indptr)."""
-    return int(np.searchsorted(view.indptr, edge_idx, side="right") - 1)
+        The forward hop out of switch ``s`` is the reverse of
+        ``parent_edge[s]``; consecutive hops ``s -> b -> c`` yield the
+        channel dependency ``cid(s,b) -> cid(b,c)``.
+        """
+        rev, cid_edge = self.rev, self.cid_edge
+        has = parent_edge >= 0
+        nxt = np.full(parent_edge.shape[0], -1, dtype=np.int64)
+        nxt[has] = self.esrc[parent_edge[has]]
+        s_nodes = np.flatnonzero(has)
+        b_nodes = nxt[s_nodes]
+        chained = nxt[b_nodes] >= 0
+        s_nodes = s_nodes[chained]
+        b_nodes = b_nodes[chained]
+        d1 = cid_edge[rev[parent_edge[s_nodes]]]
+        d2 = cid_edge[rev[parent_edge[b_nodes]]]
+        for vl, cdg in enumerate(self.layers):
+            if cdg.try_add(d1, d2):
+                return vl
+        raise RoutingError(
+            f"DFSSSP exceeded {self.max_vls} virtual lanes; fabric too twisted"
+        )
 
 
 def _reverse_edge_index(view) -> np.ndarray:
@@ -502,24 +359,3 @@ def _reverse_edge_index(view) -> np.ndarray:
     rev_key = view.peer.astype(np.int64) * port_span + in_port
     order = np.argsort(fwd_key)
     return order[np.searchsorted(fwd_key[order], rev_key)]
-
-
-def _tree_order(view, parent_edge: np.ndarray, dest: int) -> List[int]:
-    """Switches ordered children-before-parents along the in-tree."""
-    n = view.num_switches
-    children: List[List[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        k = parent_edge[s]
-        if k >= 0:
-            children[_edge_source(view, k)].append(s)
-    # children[] is keyed by... the edge source is the *parent* (edge
-    # parent->s). Post-order from dest gives parents last; reverse for
-    # children-first.
-    order: List[int] = []
-    stack = [dest]
-    while stack:
-        cur = stack.pop()
-        order.append(cur)
-        stack.extend(children[cur])
-    order.reverse()
-    return order

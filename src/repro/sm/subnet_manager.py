@@ -285,65 +285,27 @@ class SubnetManager:
         return report
 
     def handle_link_failure(self, link) -> ConfigureReport:
-        """React to a failed inter-switch cable.
+        """React to a failed cable: a ``remove_link`` topology change.
 
-        The SM unplugs the cable, re-sweeps (heavy-sweep style), recomputes
-        paths and distributes only the changed LFT blocks. This is the
-        *legitimate* use of reconfiguration the paper contrasts with VM
-        migration: a topology change genuinely requires path recomputation,
-        a moved LID does not.
-
-        Raises :class:`~repro.errors.TopologyError` (from validation) if
-        the failure partitions the switch fabric.
+        This is the *legitimate* use of reconfiguration the paper
+        contrasts with VM migration: a topology change genuinely requires
+        path recomputation, a moved LID does not. Raises
+        :class:`~repro.errors.TopologyError` (from validation) if the
+        failure partitions the switch fabric.
         """
-        # Capture the endpoint switch indices before unplugging: the
-        # routing cache repairs only the BFS trees whose shortest paths
-        # could have crossed this cable.
-        end_a, end_b = link.ends
-        u = end_a.node.index if isinstance(end_a.node, Switch) else -1
-        v = end_b.node.index if isinstance(end_b.node, Switch) else -1
-        # remove_link bumps the version exactly once (sw-sw cables only),
-        # so the note below completes an unbroken repair chain; an HCA
-        # cable failure leaves the switch graph — and the cache — warm.
-        self.topology.remove_link(link)
-        self.transport.invalidate_distances()
-        if u >= 0 and v >= 0:
-            self.routing_state.note_link_failure(u, v)
-        self.topology.validate()
-        report = ConfigureReport()
-        with span("link_failure_reroute"):
-            report.discovery = self.discover()
-            tables = self.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.distribute()
-        self._expose(report, phase="link_failure")
-        return report
+        return self.handle_topology_change(
+            TopologyMutation.removing(link), verify=False
+        )
 
     def handle_switch_failure(self, switch) -> ConfigureReport:
-        """React to a dead (non-leaf) switch: remove it and reroute.
+        """React to a dead (non-leaf) switch: a ``remove_switch`` change.
 
-        The switch's LID is released, its cables unplugged, the remaining
-        fabric validated (a partition aborts), and a fresh routing
-        distributed. Raises :class:`~repro.errors.TopologyError` if the
-        switch hosts HCAs (leaf failures strand hosts — a virtualization-
-        layer problem, not a routing one).
+        Raises :class:`~repro.errors.TopologyError` if the switch hosts
+        HCAs (leaf failures strand hosts — a virtualization-layer problem,
+        not a routing one) or if its removal partitions the fabric.
         """
-        if switch.lid is not None and self.topology.port_of_lid(switch.lid):
-            self.lid_manager.release_lid(switch.lid)
-            switch.lid = None
-        failed_index = switch.index
-        self.topology.remove_switch(switch)
-        self.routing_state.note_switch_removal(failed_index)
-        self.transport.invalidate_distances()
-        self.topology.validate()
-        report = ConfigureReport()
-        with span("switch_failure_reroute", switch=switch.name):
-            report.discovery = self.discover()
-            tables = self.compute_routing()
-            report.path_compute_seconds = tables.compute_seconds
-            report.distribution = self.distribute()
-        self._expose(report, phase="switch_failure")
-        return report
+        mutation = TopologyMutation("remove_switch", a=switch.name)
+        return self.handle_topology_change(mutation, verify=False)
 
     # -- live topology mutation --------------------------------------------------
 

@@ -9,8 +9,8 @@ paper contrasts with migration-triggered ones.
 Two ingestion paths exist:
 
 * the **legacy synchronous** path (:meth:`FabricEventManager.link_down` /
-  :meth:`~FabricEventManager.link_up`) reroutes once per event, exactly
-  as before;
+  :meth:`~FabricEventManager.link_up`) reroutes once per event through
+  :meth:`~repro.sm.subnet_manager.SubnetManager.handle_topology_change`;
 * the **hardened deferred** path (:meth:`~FabricEventManager.report_link_down`
   / :meth:`~FabricEventManager.report_link_up` +
   :meth:`~FabricEventManager.pump`) models the VL15 trap pipeline of a
@@ -194,27 +194,20 @@ class FabricEventManager:
         return report
 
     def link_up(self, a, port_a: int, b, port_b: int) -> ConfigureReport:
-        """A cable was (re)connected: traps, then re-sweep and reroute."""
-        link = self.sm.topology.connect(a, port_a, b, port_b)
-        for port in link.ends:
-            if isinstance(port.node, Switch):
-                self._record(
-                    TrapType.LINK_STATE_UP, port.node.name, port.num
-                )
-        end_a, end_b = link.ends
-        if isinstance(end_a.node, Switch) and isinstance(end_b.node, Switch):
-            # The connect bumped the version once; this note completes
-            # the repair chain so a heal costs an incremental repair, not
-            # a full recompute.
-            self.sm.routing_state.note_link_restored(
-                end_a.node.index, end_b.node.index
-            )
-        self.sm.transport.invalidate_distances()
-        report = ConfigureReport()
-        report.discovery = self.sm.discover()
-        tables = self.sm.compute_routing()
-        report.path_compute_seconds = tables.compute_seconds
-        report.distribution = self.sm.distribute()
+        """A cable was (re)connected: traps, then a ``restore_link``
+        topology change (re-sweep and incremental reroute)."""
+        node_a, node_b = self.sm.topology.node(a), self.sm.topology.node(b)
+        for node, port in ((node_a, port_a), (node_b, port_b)):
+            if isinstance(node, Switch):
+                self._record(TrapType.LINK_STATE_UP, node.name, port)
+        mutation = TopologyMutation(
+            "restore_link",
+            a=node_a.name,
+            port_a=port_a,
+            b=node_b.name,
+            port_b=port_b,
+        )
+        report = self.sm.handle_topology_change(mutation, verify=False)
         self.reactions.append(report)
         return report
 
@@ -367,13 +360,7 @@ class FabricEventManager:
         """
         inverse: Optional[TopologyMutation] = None
         if mutation.kind == "remove_link":
-            inverse = TopologyMutation(
-                kind="restore_link",
-                a=mutation.a,
-                port_a=mutation.port_a,
-                b=mutation.b,
-                port_b=mutation.port_b,
-            )
+            inverse = mutation.restoring()
         elif mutation.kind == "remove_switch":
             sw = self.sm.topology.node(mutation.a)
             level = getattr(self.sm.built, "level", None)

@@ -907,15 +907,7 @@ class ChaosRunner:
     def _note_rewire_pools(self, mutation: TopologyMutation) -> None:
         """Track inverse-operation candidates for later rewires."""
         if mutation.kind == "remove_link":
-            self._removed_cables.append(
-                TopologyMutation(
-                    kind="restore_link",
-                    a=mutation.a,
-                    port_a=mutation.port_a,
-                    b=mutation.b,
-                    port_b=mutation.port_b,
-                )
-            )
+            self._removed_cables.append(mutation.restoring())
         elif mutation.kind == "add_switch":
             self._added_switches.append(mutation.a)
         elif mutation.kind == "remove_switch":
@@ -987,14 +979,8 @@ class ChaosRunner:
         ]
         if not candidates:
             return None
-        link = self.injector.fabric_rng.choice(candidates)
-        end_a, end_b = link.ends
-        return TopologyMutation(
-            kind="remove_link",
-            a=end_a.node.name,
-            port_a=end_a.num,
-            b=end_b.node.name,
-            port_b=end_b.num,
+        return TopologyMutation.removing(
+            self.injector.fabric_rng.choice(candidates)
         )
 
     def _plan_restore_link(self) -> Optional[TopologyMutation]:

@@ -2,9 +2,11 @@
 
 A :class:`Scenario` is a reproducible sequence of operations against one
 cloud — the "day in the life" the paper's introduction sketches (tenants
-come and go, the operator consolidates, cables fail). Every action is
-recorded in a :class:`~repro.sim.trace.Trace` with its cost, so a run can
-be audited afterwards and regression-tested line by line.
+come and go, the operator consolidates, cables fail). Every step runs in
+its own :mod:`repro.obs` span (``scenario_boot``, ``scenario_stop``,
+``scenario_migrate``, ``scenario_link_failure``, ``scenario_link_repair``)
+whose attributes carry the step's cost, so a run can be audited
+afterwards and regression-tested step by step.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Dict, List
 
 from repro.errors import TopologyError
 from repro.fabric.node import Switch
+from repro.fabric.topology import TopologyMutation
 from repro.obs.hub import span
-from repro.sim.trace import Trace
 from repro.virt.cloud import CloudManager
 from repro.workloads.migration_patterns import ANY, MigrationPlanner
 
@@ -57,15 +59,10 @@ class Scenario:
         self.cloud = cloud
         self.built = built
         self.rng = random.Random(seed)
-        self.trace = Trace()
         self.summary = ScenarioSummary()
         self._planner = MigrationPlanner(cloud, built, seed=seed)
-        self._clock = 0.0
-        self._downed: List[tuple] = []
-
-    def _tick(self) -> float:
-        self._clock += 1.0
-        return self._clock
+        #: Failed cables awaiting repair, as ``remove_link`` mutations.
+        self._downed: List[TopologyMutation] = []
 
     # -- primitive steps ------------------------------------------------------
 
@@ -76,11 +73,12 @@ class Scenario:
                 h.has_capacity() for h in self.cloud.hypervisors.values()
             ):
                 return
-            vm = self.cloud.boot_vm()
+            with span("scenario_boot") as sp:
+                vm = self.cloud.boot_vm()
+                sp.set_attributes(
+                    vm=vm.name, on=vm.hypervisor_name, lid=vm.lid
+                )
             self.summary.boots += 1
-            self.trace.emit(
-                self._tick(), "boot", vm=vm.name, on=vm.hypervisor_name, lid=vm.lid
-            )
 
     def stop(self, count: int = 1) -> None:
         """Stop *count* random running VMs."""
@@ -89,9 +87,9 @@ class Scenario:
             if not names:
                 return
             name = self.rng.choice(names)
-            self.cloud.stop_vm(name)
+            with span("scenario_stop", vm=name):
+                self.cloud.stop_vm(name)
             self.summary.stops += 1
-            self.trace.emit(self._tick(), "stop", vm=name)
 
     def migrate(self, count: int = 1, distance: str = ANY) -> None:
         """Perform *count* planner-chosen migrations."""
@@ -99,24 +97,24 @@ class Scenario:
             plan = self._planner.plan_one(distance)
             if plan is None:
                 return
-            report = self.cloud.live_migrate(*plan)
+            with span("scenario_migrate") as sp:
+                report = self.cloud.live_migrate(*plan)
+                sp.set_attributes(
+                    vm=report.vm_name,
+                    src=report.source,
+                    dest=report.destination,
+                    smps=report.reconfig.lft_smps,
+                    n_prime=report.switches_updated,
+                )
             self.summary.migrations += 1
             self.summary.migration_lft_smps += report.reconfig.lft_smps
-            self.trace.emit(
-                self._tick(),
-                "migrate",
-                vm=report.vm_name,
-                src=report.source,
-                dest=report.destination,
-                smps=report.reconfig.lft_smps,
-                n_prime=report.switches_updated,
-            )
 
     def fail_random_link(self) -> bool:
         """Cut one random inter-switch cable (skipped if it would partition).
 
         Returns True when a failure was injected.
         """
+        sm = self.cloud.sm
         links = [
             l
             for l in self.cloud.topology.links
@@ -124,26 +122,23 @@ class Scenario:
         ]
         self.rng.shuffle(links)
         for link in links:
-            spec = (link.a.node, link.a.num, link.b.node, link.b.num)
-            try:
-                report = self.cloud.sm.handle_link_failure(link)
-            except TopologyError:
-                # Would partition: plug it back and try another.
-                self.cloud.topology.connect(*spec)
-                self.cloud.topology.invalidate_fabric_view()
-                self.cloud.sm.transport.invalidate_distances()
-                continue
-            self._downed.append(spec)
+            cut = TopologyMutation.removing(link)
+            with span("scenario_link_failure", a=cut.a, b=cut.b) as sp:
+                try:
+                    report = sm.handle_topology_change(cut, verify=False)
+                except TopologyError:
+                    # Would partition: plug it back and try another. The
+                    # restore note pairs with the failure note, so the
+                    # next reroute stays an incremental repair.
+                    sm.apply_topology_mutation(cut.restoring())
+                    sm.transport.invalidate_distances()
+                    sp.set_attribute("refused", True)
+                    continue
+                sp.set_attribute("smps", report.lft_smps)
+            self._downed.append(cut)
             self.summary.failures += 1
             self.summary.failure_lft_smps += report.lft_smps
             self.summary.path_computations += 1
-            self.trace.emit(
-                self._tick(),
-                "link-failure",
-                a=spec[0].name,
-                b=spec[2].name,
-                smps=report.lft_smps,
-            )
             return True
         return False
 
@@ -151,17 +146,14 @@ class Scenario:
         """Re-cable everything that failed; returns repairs performed."""
         repaired = 0
         while self._downed:
-            a, pa, b, pb = self._downed.pop()
-            self.cloud.topology.connect(a, pa, b, pb)
-            self.cloud.topology.invalidate_fabric_view()
-            self.cloud.sm.transport.invalidate_distances()
-            report = self.cloud.sm.incremental_reroute()
+            cut = self._downed.pop()
+            with span("scenario_link_repair", a=cut.a, b=cut.b) as sp:
+                report = self.cloud.sm.handle_topology_change(
+                    cut.restoring(), verify=False
+                )
+                sp.set_attribute("smps", report.lft_smps)
             self.summary.repairs += 1
             self.summary.path_computations += 1
-            self.trace.emit(
-                self._tick(), "link-repair", a=a.name, b=b.name,
-                smps=report.lft_smps,
-            )
             repaired += 1
         return repaired
 

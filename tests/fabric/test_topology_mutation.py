@@ -54,6 +54,22 @@ class TestMutationDataclass:
         )
         assert TopologyMutation.from_dict(mutation.as_dict()) == mutation
 
+    def test_removing_names_the_cable_and_restoring_inverts_it(self):
+        topo = scaled_fattree("2l-small").topology
+        link = next(
+            l for l in topo.links
+            if all(isinstance(p.node, Switch) for p in l.ends)
+        )
+        cut = TopologyMutation.removing(link)
+        assert topo.node(cut.a).port(cut.port_a).link is link
+        assert topo.node(cut.b).port(cut.port_b).link is link
+        assert cut.restoring() == TopologyMutation(
+            kind="restore_link",
+            a=cut.a, port_a=cut.port_a, b=cut.b, port_b=cut.port_b,
+        )
+        with pytest.raises(TopologyError):
+            cut.restoring().restoring()
+
     def test_describe_mentions_endpoints(self):
         mutation = TopologyMutation(
             kind="add_link", a="s0", port_a=4, b="s2", port_b=4
@@ -146,6 +162,7 @@ class TestRemoveReAddRoundTrip:
             (p.num, p.remote.node.name, p.remote.num)
             for p in victim.connected_ports()
         ]
+        level = built.level.get(victim.name, -1)
         sm.handle_switch_failure(victim)
         assert victim.index == -1
 
@@ -153,7 +170,7 @@ class TestRemoveReAddRoundTrip:
             kind="add_switch",
             a=victim.name,
             num_ports=victim.num_ports,
-            level=built.level.get(victim.name, -1),
+            level=level,
             cables=tuple(cables),
         )
         # verify=True runs the full delivery + SM-consistency audit, so

@@ -17,6 +17,7 @@ from repro.sm.ha import HighAvailabilityManager, SmHaState
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
+from repro.sm.traps import FabricEventManager
 
 
 @pytest.fixture(autouse=True)
@@ -200,3 +201,50 @@ class TestHaReplication:
         from repro.analysis.verification import verify_subnet
 
         verify_subnet(sm).raise_if_failed()
+
+
+def first_spine_cable(built):
+    spine = built.roots[0]
+    return next(p.link for p in spine.connected_ports())
+
+
+class TestFailureHandlersAreTopologyChanges:
+    """The link/switch failure handlers and the trap manager's link_up
+    delegate to handle_topology_change, so they share its bookkeeping."""
+
+    def test_failures_reach_the_ha_journal(self):
+        built, sm, ha = TestHaReplication().build_ha()
+        link = first_spine_cable(built)
+        end_a, end_b = link.ends
+        spec = (end_a.node.name, end_a.num, end_b.node.name, end_b.num)
+        sm.handle_link_failure(link)
+        FabricEventManager(sm).link_up(*spec)
+        sm.handle_switch_failure(built.roots[1])
+        standby = next(
+            p for p in ha.participants() if p.state is SmHaState.STANDBY
+        )
+        kinds = [
+            m["kind"] for m in ha.replica(standby.node_name).topology_mutations
+        ]
+        assert kinds == ["remove_link", "restore_link", "remove_switch"]
+
+    def test_failures_are_counted_as_mutations(self):
+        built, sm = make_sm()
+        link = first_spine_cable(built)
+        end_a, end_b = link.ends
+        spec = (end_a.node, end_a.num, end_b.node, end_b.num)
+        FabricEventManager(sm).link_down(link)
+        FabricEventManager(sm).link_up(*spec)
+        sm.handle_switch_failure(built.roots[1])
+        metrics = get_hub().metrics
+        for kind in ("remove_link", "restore_link", "remove_switch"):
+            counter = metrics.counter("repro_topology_mutations_total", kind=kind)
+            assert counter.value == 1, kind
+
+    def test_switch_failure_drops_the_switch_from_built_level(self):
+        built, sm = make_sm()
+        victim = built.roots[0]
+        assert victim.name in built.level
+        sm.handle_switch_failure(victim)
+        assert victim.name not in built.level
+        assert set(built.level) == {sw.name for sw in built.topology.switches}

@@ -2,10 +2,11 @@
 
 Three equivalences, each load-bearing for the Fig. 7 reproduction:
 
-* vectorized LASH/DFSSSP == the pure-Python reference engines — same LFT
-  bytes, same VL assignments, same metadata — on rings, tori, fat-trees
-  and hypothesis-sampled random regular graphs (rings/tori exercise the
-  multi-VL cyclic paths: relabel, rollback and layer rejection);
+* vectorized LASH/DFSSSP == the pure-Python reference engines
+  (tests/sm/reference_engines.py) — same LFT bytes, same VL assignments,
+  same metadata — on rings, tori, fat-trees and hypothesis-sampled random
+  regular graphs (rings/tori exercise the multi-VL cyclic paths: relabel,
+  rollback and layer rejection);
 * sharded all-pairs computation (``workers > 1``) == the serial loop;
 * the stacked numpy LFT block diff == the old per-switch block diff.
 """
@@ -31,6 +32,7 @@ from repro.sm.routing.lash import LashRouting
 import repro.sm.routing.parallel as parallel_mod
 from repro.sm.routing.parallel import ParallelRouter
 from repro.sm.subnet_manager import SubnetManager
+from tests.sm.reference_engines import ReferenceDFSSSP, ReferenceLash
 
 _settings = settings(
     max_examples=8,
@@ -58,6 +60,9 @@ def assert_tables_identical(a, b, label):
             assert va == vb, (label, k)
 
 
+#: Production engine -> its pure-Python reference oracle.
+REFERENCE = {LashRouting: ReferenceLash, DFSSSPRouting: ReferenceDFSSSP}
+
 PRESETS = {
     "ring8": lambda: build_ring(8, hosts_per_switch=1),
     "torus33": lambda: build_torus_2d(3, 3, hosts_per_switch=1),
@@ -71,8 +76,8 @@ class TestVectorizedEngineIdentity:
     @pytest.mark.parametrize("engine_cls", [LashRouting, DFSSSPRouting])
     def test_identity_on_presets(self, preset, engine_cls):
         request = request_for(PRESETS[preset]())
-        fast = engine_cls(vectorized=True).compute(request)
-        ref = engine_cls(vectorized=False).compute(request)
+        fast = engine_cls().compute(request)
+        ref = REFERENCE[engine_cls]().compute(request)
         assert_tables_identical(fast, ref, (preset, engine_cls.__name__))
 
     @_settings
@@ -85,8 +90,8 @@ class TestVectorizedEngineIdentity:
         built = build_random_regular(2 * half_n, 3, 1, seed=seed)
         request = request_for(built)
         for engine_cls in (LashRouting, DFSSSPRouting):
-            fast = engine_cls(vectorized=True).compute(request)
-            ref = engine_cls(vectorized=False).compute(request)
+            fast = engine_cls().compute(request)
+            ref = REFERENCE[engine_cls]().compute(request)
             assert_tables_identical(fast, ref, (seed, engine_cls.__name__))
 
 
