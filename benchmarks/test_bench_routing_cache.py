@@ -25,6 +25,7 @@ import pytest
 
 from repro.fabric.node import Switch
 from repro.fabric.presets import paper_fattree
+from repro.fabric.topology import TopologyMutation
 from repro.sm.subnet_manager import SubnetManager
 
 #: {instance_label: {metric: value}} accumulated across the module.
@@ -127,17 +128,18 @@ def test_repair_vs_full_recompute(benchmark, cache_instances):
         entry["sources_total"] = n
     _, built, _ = cache_instances[0]
     sm = _configured_sm(built)
+    modes = []
 
     def fail_and_restore():
-        link = _inter_switch_link(built.topology)
-        a, b = link.ends
-        spec = (a.node, a.num, b.node, b.num)
-        sm.handle_link_failure(link)
-        built.topology.connect(*spec)
-        built.topology.invalidate_fabric_view()
-        sm.transport.invalidate_distances()
+        # Both halves go through handle_topology_change, so every round
+        # starts from an unbroken repair chain and repairs incrementally.
+        removal = TopologyMutation.removing(_inter_switch_link(built.topology))
+        for mutation in (removal, removal.restoring()):
+            report = sm.handle_topology_change(mutation, verify=False)
+            modes.append(report.repair_mode)
 
     benchmark.pedantic(fail_and_restore, rounds=3, iterations=1)
+    assert modes and set(modes) == {"incremental"}
 
 
 def test_write_results(benchmark):

@@ -10,13 +10,16 @@ repeated composition (``succ = succ[succ]``), so after ``ceil(log2 n)``
 doublings every packet has either been absorbed (delivered, black-holed,
 misdelivered) or is provably on a forwarding loop. One pass classifies
 all ``n * |LIDs|`` (source, destination) pairs with NumPy gathers; no
-per-path Python walk happens (contrast
-:func:`repro.analysis.verification.verify_delivery`, the slow runtime
-walker this module statically subsumes).
+per-path Python walk happens. The runtime audit
+:func:`repro.analysis.verification.verify_delivery` rides the same
+classification and walks only the pairs it finds undelivered, to word
+their failures.
 
 The deadlock checks extract the channel dependency set with the same
-successor matrices and reuse the cycle finder of
-:class:`repro.sm.deadlock.ChannelDependencyGraph`. By convention the CDG
+successor matrices, gate it with the array Kahn toposort of
+:mod:`repro.sm.routing.cdg_array`, and only on a cycle hand it to
+:class:`repro.sm.deadlock.ChannelDependencyGraph` to extract one for the
+finding. By convention the CDG
 checks cover **terminal (endpoint) LIDs only**: traffic to switch
 management LIDs travels on VL15, which has dedicated buffering and so
 cannot participate in a data-VL credit cycle.
@@ -33,6 +36,7 @@ from repro.constants import LFT_UNSET
 from repro.errors import StaticAnalysisError
 from repro.fabric.topology import SwitchFabricView, Topology
 from repro.sm.deadlock import Channel, ChannelDependencyGraph
+from repro.sm.routing.cdg_array import _kahn_acyclic
 from repro.sm.routing.vl import VlAssignment
 from repro.analysis.static.findings import Finding
 
@@ -49,6 +53,23 @@ __all__ = [
 
 #: Cap on per-rule findings so a badly broken fabric stays readable.
 MAX_FINDINGS_PER_RULE = 50
+
+
+def _hardware_ports(topology: Topology) -> np.ndarray:
+    """The switches' programmed LFTs as one ``(num_switches, width)`` matrix.
+
+    ``width`` covers every bound LID and every table; entries past a
+    table's end read LFT_UNSET, exactly like ``LinearForwardingTable.get``.
+    """
+    switches = topology.switches
+    tables = [sw.lft.as_array() for sw in switches]
+    width = max(
+        [max(topology.bound_lids(), default=0) + 1] + [len(t) for t in tables]
+    )
+    ports = np.full((len(switches), width), LFT_UNSET, dtype=np.int16)
+    for sw, arr in zip(switches, tables):
+        ports[sw.index, : len(arr)] = arr
+    return ports
 
 
 @dataclass
@@ -102,7 +123,6 @@ class FabricSnapshot:
         snapshot for the per-VL deadlock checks.
         """
         switches = topology.switches
-        n = len(switches)
         terminals = topology.terminals()
         switch_lids = topology.switch_lids()
         all_lids = sorted(
@@ -117,16 +137,7 @@ class FabricSnapshot:
                 " would otherwise be silently skipped"
             )
         if ports is None:
-            width = max(
-                [t.lid for t in terminals] + list(switch_lids) + [0]
-            ) + 1
-            width = max(
-                [width] + [len(sw.lft.as_array()) for sw in switches]
-            )
-            ports = np.full((n, width), LFT_UNSET, dtype=np.int16)
-            for sw in switches:
-                arr = sw.lft.as_array()
-                ports[sw.index, : len(arr)] = arr
+            ports = _hardware_ports(topology)
         width = ports.shape[1]
         dest_switch = np.full(width, -1, dtype=np.int32)
         dest_port = np.full(width, -1, dtype=np.int32)
@@ -189,7 +200,7 @@ _MISDELIVERED = 2
 def _successor_matrices(
     snap: FabricSnapshot, cols: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(succ, nxt)`` for the selected LID columns.
+    """``(succ, nxt)`` for the selected LID columns, as ``int32`` matrices.
 
     ``succ[s, j]`` is the packet's next state: a switch index, or one of
     the absorbing states ``n + _DELIVERED`` / ``n + _BLACKHOLE`` /
@@ -198,30 +209,31 @@ def _successor_matrices(
     and legality checks consume.
     """
     n = snap.num_switches
-    k = cols.size
-    sub = snap.ports[:, cols].astype(np.int64)  # (n, k)
+    sub = snap.ports[:, cols]  # (n, k)
     valid = sub != LFT_UNSET
-    p2p = snap.port_to_peer()
-    peer = p2p[
-        np.arange(n)[:, None], np.where(valid, sub, 0)
-    ]  # (n, k); -1 = exits the switch graph
-    succ = np.where(valid, np.where(peer >= 0, peer, n + _MISDELIVERED),
-                    n + _BLACKHOLE)
+    # Gathered straight from the peer map: -1 = exits the switch graph.
+    succ = snap.port_to_peer()[np.arange(n)[:, None], np.where(valid, sub, 0)]
+    succ[succ < 0] = n + _MISDELIVERED
+    succ[~valid] = n + _BLACKHOLE
     # Destination-switch overrides: reaching the destination terminates the
     # walk. A terminal LID must exit through its exact attachment port; a
     # switch self-LID is delivered by arrival (port 0 is the management
-    # port, same convention as verify_delivery).
-    ds = snap.dest_switch[cols]  # (k,)
-    dp = snap.dest_port[cols]
-    at_dest = np.arange(n)[:, None] == ds[None, :]
-    delivered_ok = at_dest & (
-        (dp[None, :] == 0) | (valid & (sub == dp[None, :]))
+    # port, same convention as verify_delivery). Only *programmed* entries
+    # at the destination switch can misdeliver; an LFT_UNSET hole there is
+    # still a black hole (LFT002, not LFT003).
+    j = np.flatnonzero(snap.dest_switch[cols] >= 0)
+    ds = snap.dest_switch[cols[j]]
+    dp = snap.dest_port[cols[j]]
+    here = valid[ds, j]
+    delivered = (dp == 0) | (here & (sub[ds, j] == dp))
+    succ[ds, j] = np.where(
+        delivered,
+        n + _DELIVERED,
+        np.where(here, n + _MISDELIVERED, n + _BLACKHOLE),
     )
-    # Only *programmed* entries at the destination switch can misdeliver;
-    # an LFT_UNSET hole there is still a black hole (LFT002, not LFT003).
-    succ = np.where(at_dest & valid, n + _MISDELIVERED, succ)
-    succ = np.where(delivered_ok, n + _DELIVERED, succ)
-    nxt = np.where((succ < n) & ~at_dest, succ, -1).astype(np.int64)
+    # Every destination cell is absorbing now, so the hop relation is
+    # simply the switch-valued part of succ.
+    nxt = np.where(succ < n, succ, -1)
     return succ, nxt
 
 
@@ -232,15 +244,20 @@ def _absorb(succ: np.ndarray, n: int) -> np.ndarray:
     stay fixed points), so the walked path length doubles per round:
     after ``ceil(log2(n + 1)) + 1`` rounds the walk covers more than
     ``n`` hops, and any state still inside the switch graph is on (or
-    feeding) a cycle.
+    feeding) a cycle. Iteration stops early once every state is
+    absorbing — further rounds could not change it.
     """
     k = succ.shape[1]
-    absorbing = np.tile(n + np.arange(3, dtype=np.int64)[:, None], (1, k))
-    state = succ.copy()
-    col = np.arange(k, dtype=np.int64)[None, :]
-    rounds = max(1, int(np.ceil(np.log2(n + 1))) + 1)
-    for _ in range(rounds):
-        state = np.vstack([state, absorbing])[state, col]
+    # Rows 0..n-1 hold the current map, rows n.. the absorbing states.
+    table = np.empty((n + 3, k), dtype=succ.dtype)
+    table[n:] = (n + np.arange(3, dtype=succ.dtype))[:, None]
+    col = np.arange(k)[None, :]
+    state = succ
+    for _ in range(max(1, int(np.ceil(np.log2(n + 1))) + 1)):
+        if (state >= n).all():
+            break
+        table[:n] = state
+        state = table[state, col]
     return state
 
 
@@ -433,28 +450,42 @@ def check_reachability(
     return findings
 
 
-def _dependency_pairs(
-    snap: FabricSnapshot, cols: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique channel-dependency pairs induced by the selected columns.
+def _dependency_codes(snap: FabricSnapshot, cols: np.ndarray) -> np.ndarray:
+    """Sorted unique channel dependencies induced by the selected columns.
 
-    Channels are encoded ``a * n + b``; a dependency exists whenever some
-    destination routes ``a -> b`` then ``b -> c``. Fully vectorized over
-    the successor matrices.
+    A dependency exists whenever some destination routes ``a -> b`` then
+    ``b -> c``; it is coded as the one integer ``(a * n + b) * n + c``, so
+    deduplication is a 1-D ``np.unique``. Fully vectorized over the
+    successor matrices.
     """
     n = snap.num_switches
     _, nxt = _successor_matrices(snap, cols)
-    col = np.arange(cols.size, dtype=np.int64)[None, :]
-    b = nxt  # (n, k)
-    c = np.where(b >= 0, nxt[np.clip(b, 0, None), col], -1)
-    mask = (b >= 0) & (c >= 0)
-    if not mask.any():
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    a_idx = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], b.shape)
-    from_ch = (a_idx * n + b)[mask]
-    to_ch = (b * n + c)[mask]
-    pairs = np.unique(np.stack([from_ch, to_ch], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+    a, j = np.nonzero(nxt >= 0)
+    b = nxt[a, j]
+    c = nxt[b, j]
+    del nxt
+    hop2 = c >= 0
+    return np.unique(
+        (a[hop2] * n + b[hop2]) * np.int64(n) + c[hop2]
+    )
+
+
+def _split_codes(
+    codes: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dependency codes -> ``(from_ch, to_ch)`` channels coded ``a * n + b``.
+
+    Ascending codes give pairs in ascending ``(from_ch, to_ch)`` order.
+    """
+    from_ch = codes // n
+    return from_ch, (from_ch % n) * n + codes % n
+
+
+def _dependency_pairs(
+    snap: FabricSnapshot, cols: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Unique channel-dependency pairs, channels encoded ``a * n + b``."""
+    return _split_codes(_dependency_codes(snap, cols), snap.num_switches)
 
 
 def _decode(channel: int, n: int) -> Channel:
@@ -469,13 +500,25 @@ def _cycle_finding(
     rule: str,
     context: str,
 ) -> List[Finding]:
-    """Run cycle detection over encoded dependency pairs."""
+    """Run cycle detection over encoded dependency pairs.
+
+    The array Kahn toposort proves the common acyclic case; only a cyclic
+    set is loaded, in the given order, into the tuple CDG whose cycle
+    finder words the finding.
+    """
     n = snap.num_switches
+    chans, dense = np.unique(
+        np.concatenate([from_ch, to_ch]), return_inverse=True
+    )
+    m = from_ch.size
+    keys = np.unique(dense[:m] * np.int64(chans.size) + dense[m:])
+    if _kahn_acyclic(keys, int(chans.size)):
+        return []
     cdg = ChannelDependencyGraph()
     for f, t in zip(from_ch.tolist(), to_ch.tolist()):
         cdg.add_dependency((_decode(f, n), _decode(t, n)))
     cycle = cdg.find_cycle()
-    if cycle is None:
+    if cycle is None:  # pragma: no cover - the Kahn gate proved a cycle
         return []
     rendered = " -> ".join(f"({a}->{b})" for a, b in cycle)
     anchor = cycle[0][0]

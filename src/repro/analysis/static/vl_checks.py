@@ -40,17 +40,14 @@ from typing import Any, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StaticAnalysisError
-from repro.sm.routing.cdg_array import (
-    _kahn_acyclic,
-    channel_ids,
-    channel_table,
-)
+from repro.sm.routing.cdg_array import channel_ids, channel_table
 from repro.sm.routing.vl import MANAGEMENT_VL, VlAssignment
 from repro.analysis.static.checks import (
     MAX_FINDINGS_PER_RULE,
     FabricSnapshot,
     _cycle_finding,
-    _dependency_pairs,
+    _dependency_codes,
+    _split_codes,
     _successor_matrices,
 )
 from repro.analysis.static.findings import Finding
@@ -396,12 +393,6 @@ def check_vl_deadlock_freedom(
     )
     findings: List[Finding] = []
     for v, keys in enumerate(pv.keys_by_vl):
-        if keys.size == 0:
-            continue
-        if _kahn_acyclic(keys, pv.num_channels):
-            continue
-        # Failure path only: decode dense ids back to switch pairs and
-        # let the tuple CDG extract a concrete cycle for the finding.
         from_ch = pv.channel_tbl[keys // np.int64(pv.num_channels)]
         to_ch = pv.channel_tbl[keys % np.int64(pv.num_channels)]
         findings.extend(
@@ -635,26 +626,24 @@ def check_vl_capacity(snap: FabricSnapshot) -> List[Finding]:
     return findings
 
 
-def _per_vl_dep_pairs(
+def _per_vl_dep_codes(
     snap: FabricSnapshot, *, workers: int = 1
 ) -> List[np.ndarray]:
-    """Per-lane dependency sets in global ``(a*n+b)`` channel encoding.
+    """Per-lane dependency sets as ``(a * n + b) * n + c`` codes.
 
     A snapshot without a VL assignment contributes its whole (single-VL)
     dependency set on lane 0 — the conservative model for transitions
     between a single-VL and a VL-routed configuration.
     """
-    n = snap.num_switches
-    n2 = np.int64(n) * np.int64(n)
     if snap.vl is None:
-        f, t = _dependency_pairs(snap, snap.terminal_lids)
-        return [f * n2 + t]
+        return [_dependency_codes(snap, snap.terminal_lids)]
+    n = snap.num_switches
     pv = build_per_vl_dependencies(snap, workers=workers)
     out: List[np.ndarray] = []
     for keys in pv.keys_by_vl:
         from_ch = pv.channel_tbl[keys // np.int64(pv.num_channels)]
         to_ch = pv.channel_tbl[keys % np.int64(pv.num_channels)]
-        out.append(from_ch * n2 + to_ch)
+        out.append(from_ch * n + to_ch % n)
     return out
 
 
@@ -677,10 +666,8 @@ def check_vl_transition_deadlock(
         raise StaticAnalysisError(
             "transition analysis needs snapshots of the same switch graph"
         )
-    n = new.num_switches
-    n2 = np.int64(n) * np.int64(n)
-    old_sets = _per_vl_dep_pairs(old, workers=workers)
-    new_sets = _per_vl_dep_pairs(new, workers=workers)
+    old_sets = _per_vl_dep_codes(old, workers=workers)
+    new_sets = _per_vl_dep_codes(new, workers=workers)
     findings: List[Finding] = []
     for v in range(max(len(old_sets), len(new_sets))):
         parts = []
@@ -688,18 +675,9 @@ def check_vl_transition_deadlock(
             parts.append(old_sets[v])
         if v < len(new_sets):
             parts.append(new_sets[v])
-        union = np.unique(np.concatenate(parts))
-        if union.size == 0:
-            continue
-        from_ch = union // n2
-        to_ch = union % n2
-        chans = np.unique(np.concatenate([from_ch, to_ch]))
-        keys = np.unique(
-            np.searchsorted(chans, from_ch) * np.int64(chans.size)
-            + np.searchsorted(chans, to_ch)
+        from_ch, to_ch = _split_codes(
+            np.unique(np.concatenate(parts)), new.num_switches
         )
-        if _kahn_acyclic(keys, int(chans.size)):
-            continue
         findings.extend(
             _with_vl_detail(
                 _cycle_finding(

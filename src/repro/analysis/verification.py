@@ -14,19 +14,34 @@ any controller bookkeeping:
   whose structured findings ride along in :attr:`VerificationReport
   .findings` and surface through :meth:`VerificationReport
   .raise_if_failed` with per-switch detail.
+
+All three are array passes over the hardware port matrix of
+:class:`~repro.analysis.static.checks.FabricSnapshot`. The delivery audit
+classifies every (source switch, LID) pair with the static analyzer's
+successor iteration and walks hop by hop only the pairs that do not
+arrive, so its failure messages and their order are those of a walk over
+every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Optional
+
+import numpy as np
 
 from repro.constants import LFT_UNSET
 from repro.errors import ReproError
-from repro.fabric.node import Switch
 from repro.fabric.topology import Topology
 from repro.sm.subnet_manager import SubnetManager
 from repro.analysis.static import Finding, analyze_subnet
+from repro.analysis.static.checks import (
+    _DELIVERED,
+    FabricSnapshot,
+    _absorb,
+    _hardware_ports,
+    _successor_matrices,
+)
 
 __all__ = ["VerificationReport", "verify_delivery", "verify_sm_consistency", "verify_subnet"]
 
@@ -61,75 +76,55 @@ class VerificationReport:
             )
 
 
-def _delivery_map(topology: Topology) -> Dict[int, Tuple[int, int]]:
-    """LID -> (destination switch index, delivery port [0 = self])."""
-    out: Dict[int, Tuple[int, int]] = {}
-    for lid in topology.bound_lids():
-        port = topology.port_of_lid(lid)
-        assert port is not None
-        if isinstance(port.node, Switch) and port.num == 0:
-            out[lid] = (port.node.index, 0)
-        else:
-            attach = port.remote
-            if attach is None or not isinstance(attach.node, Switch):
-                raise ReproError(f"LID {lid} bound to an unattached port")
-            out[lid] = (attach.node.index, attach.num)
-    return out
+def _walk(snap: FabricSnapshot, lid: int, start: int) -> Optional[str]:
+    """Follow *lid* hop by hop from switch *start*; its failure, if any."""
+    ports, p2p, names = snap.ports, snap.port_to_peer(), snap.switch_names
+    dest_sw, dest_port = int(snap.dest_switch[lid]), int(snap.dest_port[lid])
+    cur = start
+    hops = 0
+    while True:
+        out = int(ports[cur, lid])
+        if cur == dest_sw:
+            if dest_port != 0 and out != dest_port:
+                return f"LID {lid}: wrong delivery port at {names[cur]}"
+            return None
+        if out == LFT_UNSET:
+            return f"LID {lid}: unroutable at {names[cur]}"
+        nxt = int(p2p[cur, out])
+        if nxt < 0:
+            return f"LID {lid}: misdelivered off-fabric at {names[cur]}"
+        cur = nxt
+        hops += 1
+        if hops > snap.num_switches:
+            return f"LID {lid}: forwarding loop from {names[start]}"
 
 
 def verify_delivery(
     topology: Topology, *, sample_every: int = 1
 ) -> VerificationReport:
-    """Walk the hardware LFTs: every bound LID from every switch.
+    """Check the hardware LFTs deliver every bound LID from every switch.
 
     ``sample_every`` > 1 checks only every n-th source switch (for large
-    fabrics); destinations are always all checked.
+    fabrics); destinations are always all checked. Failures come LID by
+    LID (ascending), source by source within a LID.
     """
     if sample_every < 1:
         raise ReproError("sample_every must be >= 1")
-    report = VerificationReport()
-    switches = topology.switches
-    p2p: Dict[Tuple[int, int], int] = {}
-    for sw in switches:
-        for port in sw.connected_ports():
-            peer = port.remote
-            assert peer is not None
-            if isinstance(peer.node, Switch):
-                p2p[(sw.index, port.num)] = peer.node.index
-    targets = _delivery_map(topology)
-    sources = switches[::sample_every]
-    report.switches_checked = len(sources)
-    for lid, (dest_sw, dest_port) in targets.items():
-        report.lids_checked += 1
-        for start in sources:
-            cur = start
-            hops = 0
-            while True:
-                if cur.index == dest_sw:
-                    if dest_port != 0 and cur.lft.get(lid) != dest_port:
-                        report.failures.append(
-                            f"LID {lid}: wrong delivery port at {cur.name}"
-                        )
-                    break
-                out = cur.lft.get(lid)
-                if out == LFT_UNSET:
-                    report.failures.append(
-                        f"LID {lid}: unroutable at {cur.name}"
-                    )
-                    break
-                nxt = p2p.get((cur.index, out))
-                if nxt is None:
-                    report.failures.append(
-                        f"LID {lid}: misdelivered off-fabric at {cur.name}"
-                    )
-                    break
-                cur = switches[nxt]
-                hops += 1
-                if hops > len(switches):
-                    report.failures.append(
-                        f"LID {lid}: forwarding loop from {start.name}"
-                    )
-                    break
+    snap = FabricSnapshot.from_topology(topology)
+    n = snap.num_switches
+    sources = np.arange(0, n, sample_every)
+    report = VerificationReport(
+        lids_checked=int(snap.lids.size), switches_checked=int(sources.size)
+    )
+    if not (snap.lids.size and sources.size):
+        return report
+    succ, _ = _successor_matrices(snap, snap.lids)
+    arrived = _absorb(succ, n)[sources] == n + _DELIVERED
+    del succ
+    for j, s in zip(*np.nonzero(~arrived.T)):
+        failure = _walk(snap, int(snap.lids[j]), int(sources[s]))
+        if failure is not None:
+            report.failures.append(failure)
     return report
 
 
@@ -138,26 +133,40 @@ def verify_sm_consistency(
 ) -> VerificationReport:
     """Hardware LFTs must equal the SM's recorded routing for bound LIDs.
 
-    With ``static=True`` (the default) the full
-    :func:`~repro.analysis.static.analyze_subnet` pass also runs over the
-    hardware LFTs, attaching its CDG/loop/legality findings to the report.
+    LIDs past the recorded tables' ``top_lid`` count as LFT_UNSET, as in
+    :meth:`~repro.sm.routing.base.RoutingTables.port_for`. Failures come
+    switch by switch, LID by LID. With ``static=True`` (the default) the
+    full :func:`~repro.analysis.static.analyze_subnet` pass also runs over
+    the hardware LFTs, attaching its CDG/loop/legality findings to the
+    report.
     """
     report = VerificationReport()
     tables = sm.current_tables
     if tables is None:
         report.failures.append("SM has no recorded routing")
         return report
-    lids = sm.topology.bound_lids()
-    report.lids_checked = len(lids)
-    report.switches_checked = sm.topology.num_switches
-    for sw in sm.topology.switches:
-        for lid in lids:
-            hw = sw.lft.get(lid)
-            soft = tables.port_for(sw.index, lid)
-            if hw != soft:
-                report.failures.append(
-                    f"LID {lid} at {sw.name}: hardware={hw} recorded={soft}"
-                )
+    topology = sm.topology
+    n = topology.num_switches
+    lids = np.asarray(topology.bound_lids(), dtype=np.int64)
+    report.lids_checked = int(lids.size)
+    report.switches_checked = n
+    hardware = _hardware_ports(topology)[:, lids]
+    recorded = np.full(hardware.shape, LFT_UNSET, dtype=tables.ports.dtype)
+    inside = lids <= tables.top_lid
+    recorded[:, inside] = tables.ports[
+        np.arange(n)[:, None], lids[inside][None, :]
+    ]
+    rows, cols = np.nonzero(hardware != recorded)
+    names = [sw.name for sw in topology.switches]
+    for s, j, hw, soft in zip(
+        rows.tolist(),
+        cols.tolist(),
+        hardware[rows, cols].tolist(),
+        recorded[rows, cols].tolist(),
+    ):
+        report.failures.append(
+            f"LID {int(lids[j])} at {names[s]}: hardware={hw} recorded={soft}"
+        )
     if static:
         # Faults only: META notices (e.g. "CDG001 superseded by per-VL
         # checks" on LASH/DFSSSP fabrics) are context, not failures.
