@@ -5,8 +5,9 @@ For each fabric scale (``2l-small`` = paper-324 twin, ``2l-wide`` =
 
 * **incremental** — ``SubnetManager.handle_topology_change``: the
   routing cache replays the mutation's repair events, resweeping only
-  the affected BFS source trees, and the distributor sends only the
-  changed LFT blocks;
+  the affected BFS source trees, MinHop refills only the table cells the
+  mutation touched, and the distributor sends only the changed LFT
+  blocks;
 * **full** — the traditional baseline: the distance cache is dropped,
   every source recomputed and every block resent
   (``full_reconfigure``), exactly what a pre-mechanism SM would pay.
@@ -98,6 +99,7 @@ def run_incremental(scale):
             {
                 "kind": mutation.kind,
                 "repair_mode": report.repair_mode,
+                "fill": report.fill,
                 "sources_repaired": report.sources_repaired,
                 "lft_smps": delta.lft_update_smps,
                 "wall_s": wall,
@@ -114,9 +116,11 @@ def run_full(scale):
     for mutation in plan_mutations(built):
         sm.apply_topology_mutation(mutation)
         sm.transport.invalidate_distances()
-        # Drop the warm distance cache: the baseline SM has no repair
-        # machinery, every mutation costs a cold all-pairs recompute.
+        # Drop the warm distance cache and the kept table: the baseline SM
+        # has no repair machinery, every mutation costs a cold all-pairs
+        # recompute and a full table fill.
         sm.routing_state._invalidate()
+        sm.routing_state.drop_fill_base()
         before = stats.snapshot()
         t0 = time.perf_counter()
         sm.full_reconfigure()
@@ -148,6 +152,7 @@ def test_rewire_incremental_vs_full(benchmark):
             # the fabric's sources, and never costs more SMPs than the
             # full sweep.
             assert inc_entry["repair_mode"] == "incremental"
+            assert inc_entry["fill"] == "refill"
             assert 0 < inc_entry["sources_repaired"] < n
             assert inc_entry["lft_smps"] <= full_entry["lft_smps"]
             RESULTS[f"{scale}/{inc_entry['kind']}"] = {
@@ -155,6 +160,7 @@ def test_rewire_incremental_vs_full(benchmark):
                 "num_switches": n,
                 "kind": inc_entry["kind"],
                 "repair_mode": inc_entry["repair_mode"],
+                "fill": inc_entry["fill"],
                 "sources_repaired": inc_entry["sources_repaired"],
                 "incremental_lft_smps": inc_entry["lft_smps"],
                 "full_lft_smps": full_entry["lft_smps"],

@@ -6,8 +6,8 @@ Measures, per fat-tree instance:
   O(n * E) all-pairs BFS sweep; the second call must serve everything from
   the versioned cache (zero sweeps — asserted through the cache counters);
 * **repair vs full**: post-link-failure path compute with the incremental
-  BFS repair against a cold from-scratch recompute of the same degraded
-  fabric.
+  BFS repair and table refill (asserted ``fill == "refill"``) against a
+  cold from-scratch recompute of the same degraded fabric.
 
 Results are written to ``BENCH_routing_cache.json`` at the repo root so
 the perf trajectory is tracked across commits. Scaled instances by
@@ -111,10 +111,11 @@ def test_repair_vs_full_recompute(benchmark, cache_instances):
         link = _inter_switch_link(built.topology)
         before = sm.routing_state.stats.snapshot()
         t0 = time.perf_counter()
-        sm.handle_link_failure(link)
+        report = sm.handle_link_failure(link)
         repair_total = time.perf_counter() - t0
         delta = sm.routing_state.stats.delta_since(before)
         assert delta["repairs"] == 1
+        assert report.fill == "refill"
         assert delta["sources_repaired"] < n
         repaired_sources = delta["sources_repaired"]
         # Reference: a cold SM computing the same degraded fabric.
@@ -126,20 +127,23 @@ def test_repair_vs_full_recompute(benchmark, cache_instances):
         entry["full_recompute_s"] = full
         entry["sources_repaired"] = repaired_sources
         entry["sources_total"] = n
+        entry["lids_refilled"] = sm.current_tables.metadata["lids_refilled"]
+        entry["rows_refilled"] = sm.current_tables.metadata["rows_refilled"]
     _, built, _ = cache_instances[0]
     sm = _configured_sm(built)
     modes = []
 
     def fail_and_restore():
         # Both halves go through handle_topology_change, so every round
-        # starts from an unbroken repair chain and repairs incrementally.
+        # starts from an unbroken repair chain, repairs incrementally and
+        # refills only the cells the flap touched.
         removal = TopologyMutation.removing(_inter_switch_link(built.topology))
         for mutation in (removal, removal.restoring()):
             report = sm.handle_topology_change(mutation, verify=False)
-            modes.append(report.repair_mode)
+            modes.append((report.repair_mode, report.fill))
 
     benchmark.pedantic(fail_and_restore, rounds=3, iterations=1)
-    assert modes and set(modes) == {"incremental"}
+    assert modes and set(modes) == {("incremental", "refill")}
 
 
 def test_write_results(benchmark):

@@ -16,7 +16,7 @@ docs/PERFORMANCE.md for the argument).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "all_pairs_switch_distances",
     "equal_cost_candidates",
     "equal_cost_candidates_batch",
+    "changed_rows",
     "edge_sources",
     "link_failure_affected_sources",
     "switch_removal_affected_sources",
@@ -167,7 +168,9 @@ def equal_cost_candidates(
 
 
 def equal_cost_candidates_batch(
-    view: SwitchFabricView, cols: np.ndarray
+    view: SwitchFabricView,
+    cols: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Equal-cost candidates for many destinations in one CSR pass.
 
@@ -177,39 +180,77 @@ def equal_cost_candidates_batch(
     destination but with the edge comparisons and the candidate packing
     batched over all destinations of a chunk (chunks bound peak memory to
     roughly ``_BATCH_CELL_BUDGET`` cells).
+
+    With *rows* (switch indices), only those switches' edges are compared
+    and each pair holds just their rows, in the order given: row ``i`` of
+    ``cand``/``counts`` is row ``rows[i]`` of the full answer.
     """
-    n = view.num_switches
-    num_edges = int(view.peer.shape[0])
+    rows = (
+        np.arange(view.num_switches)
+        if rows is None
+        else np.asarray(rows, dtype=np.int64)
+    )
+    m = rows.shape[0]
+    # The selected rows' CSR edges, concatenated in row order: edge i
+    # leaves switch rows[edge_pos[i]].
+    lo = view.indptr[rows]
+    degrees = view.indptr[rows + 1] - lo
+    edge_pos = np.repeat(np.arange(m, dtype=np.int64), degrees)
+    starts = np.cumsum(degrees) - degrees
+    eids = lo[edge_pos] + (np.arange(edge_pos.size) - starts[edge_pos])
+    edge_src = rows[edge_pos]
+    peer, out_port = view.peer[eids], view.out_port[eids]
+    num_edges = int(peer.shape[0])
     k = cols.shape[1]
-    edge_src = edge_sources(view)
     out: List[Tuple[np.ndarray, np.ndarray]] = []
     chunk = max(1, _BATCH_CELL_BUDGET // max(num_edges, 1))
     for lo in range(0, k, chunk):
         sub = cols[:, lo : lo + chunk]
         c = sub.shape[1]
         dist_src = sub[edge_src]  # (E, c)
-        good = (sub[view.peer] == dist_src - 1) & (dist_src > 0)
+        good = (sub[peer] == dist_src - 1) & (dist_src > 0)
         # Flat pack: nonzero over the transposed mask yields pairs sorted
         # by (column, edge index); edge index ascending => grouped by
         # source switch, so one bincount + cumsum places every candidate.
         col_idx, eidx = np.nonzero(good.T)
-        srcs = edge_src[eidx]
-        key = col_idx * n + srcs
-        counts_flat = np.bincount(key, minlength=c * n)
-        counts2d = counts_flat.reshape(c, n)
-        maxc_per = counts2d.max(axis=1) if c else np.zeros(0, dtype=np.int64)
+        srcs = edge_pos[eidx]
+        key = col_idx * m + srcs
+        counts_flat = np.bincount(key, minlength=c * m)
+        counts2d = counts_flat.reshape(c, m)
+        maxc_per = counts2d.max(axis=1) if c and m else np.zeros(c, np.int64)
         maxc = int(maxc_per.max()) if c else 0
-        cand3d = np.full((c, n, max(maxc, 1)), -1, dtype=np.int32)
+        cand3d = np.full((c, m, max(maxc, 1)), -1, dtype=np.int32)
         if eidx.size:
             first = np.cumsum(counts_flat) - counts_flat
             pos = np.arange(eidx.size) - first[key]
-            cand3d[col_idx, srcs, pos] = view.out_port[eidx]
+            cand3d[col_idx, srcs, pos] = out_port[eidx]
         for j in range(c):
             width = max(int(maxc_per[j]), 1) if c else 1
             out.append(
                 (cand3d[j, :, :width].copy(), counts2d[j].astype(np.int32))
             )
     return out
+
+
+def changed_rows(old: SwitchFabricView, new: SwitchFabricView) -> np.ndarray:
+    """Switches whose CSR row differs between two views of ``n`` switches.
+
+    A row differs when its degree, or any ``(peer, out_port)`` entry at the
+    same position, does — exactly the rows whose equal-cost candidates can
+    differ under the same distances.
+    """
+    if old is new:
+        return np.zeros(0, dtype=np.int64)
+    deg_old, deg_new = np.diff(old.indptr), np.diff(new.indptr)
+    changed = deg_old != deg_new
+    src = edge_sources(new)
+    same = np.flatnonzero(~changed[src])
+    mirror = old.indptr[src[same]] + (same - new.indptr[src[same]])
+    differs = (new.peer[same] != old.peer[mirror]) | (
+        new.out_port[same] != old.out_port[mirror]
+    )
+    changed[src[same[differs]]] = True
+    return np.flatnonzero(changed)
 
 
 def link_failure_affected_sources(

@@ -68,10 +68,10 @@ class RoutingRequest:
     _terminal_map: Optional[Dict[Tuple[int, int], frozenset]] = field(
         default=None, repr=False, compare=False
     )
-    _terminal_arrays: Optional[Tuple[np.ndarray, ...]] = field(
+    _port_maps: Optional[Tuple[dict, dict]] = field(
         default=None, repr=False, compare=False
     )
-    _port_maps: Optional[Tuple[dict, dict]] = field(
+    _lid_endpoints: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -176,34 +176,54 @@ class RoutingRequest:
         return equal_cost_candidates(self.view, self.bfs_row(dest))
 
     def prefetch_candidates(
-        self, dests: List[int]
+        self, dests: List[int], rows: Optional[np.ndarray] = None
     ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Candidate arrays for many destinations in one batched CSR pass."""
+        """Candidate arrays for many destinations in one batched CSR pass
+        (only the switches in *rows*, when given)."""
         if self.state is not None:
-            return self.state.prefetch_candidates(dests)
+            return self.state.prefetch_candidates(dests, rows)
         dist = self.switch_distances()
-        pairs = equal_cost_candidates_batch(self.view, dist[:, dests].copy())
+        pairs = equal_cost_candidates_batch(
+            self.view, dist[:, dests].copy(), rows
+        )
         return dict(zip(dests, pairs))
 
     # -- cached lookup structures -------------------------------------------
 
-    def terminal_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lids, switch_indices, switch_ports)`` of every terminal."""
-        if self._terminal_arrays is None:
+    def lid_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lid_switch, lid_port)``, indexed by LID up to ``top_lid``.
+
+        Where each LID leaves the fabric: a terminal's attachment switch
+        and port, a switch self-LID's own switch and port 0 (the
+        management port), ``-1`` in both arrays for an unused LID.
+        """
+        if self._lid_endpoints is None:
+            count = len(self.terminals)
             lids = np.fromiter(
-                (t.lid for t in self.terminals), dtype=np.int64,
-                count=len(self.terminals),
+                (t.lid for t in self.terminals), dtype=np.int64, count=count
             )
-            sws = np.fromiter(
+            lid_switch = np.full(self.top_lid + 1, -1, dtype=np.int64)
+            lid_port = np.full(self.top_lid + 1, -1, dtype=np.int16)
+            lid_switch[lids] = np.fromiter(
                 (t.switch_index for t in self.terminals), dtype=np.int64,
-                count=len(self.terminals),
+                count=count,
             )
-            prts = np.fromiter(
+            lid_port[lids] = np.fromiter(
                 (t.switch_port for t in self.terminals), dtype=np.int16,
-                count=len(self.terminals),
+                count=count,
             )
-            self._terminal_arrays = (lids, sws, prts)
-        return self._terminal_arrays
+            if self.switch_lids:
+                sl = np.fromiter(
+                    self.switch_lids, dtype=np.int64,
+                    count=len(self.switch_lids),
+                )
+                lid_switch[sl] = np.fromiter(
+                    self.switch_lids.values(), dtype=np.int64,
+                    count=len(self.switch_lids),
+                )
+                lid_port[sl] = 0
+            self._lid_endpoints = (lid_switch, lid_port)
+        return self._lid_endpoints
 
     def terminal_map(self) -> Dict[Tuple[int, int], frozenset]:
         """``(switch_index, switch_port) -> {LIDs delivered there}``.
@@ -394,26 +414,22 @@ class RoutingAlgorithm(abc.ABC):
         )
 
     def _program_local_entries(
-        self, ports: np.ndarray, request: RoutingRequest
+        self,
+        ports: np.ndarray,
+        request: RoutingRequest,
+        lids: Optional[np.ndarray] = None,
     ) -> None:
-        """Fill the entries every engine agrees on.
+        """Fill the entries every engine agrees on (only *lids*, if given).
 
         Terminal LIDs exit at their attachment ports on their own leaf
         switch; a switch's own LID maps to port 0 (the management port).
-        One fancy-indexed scatter per class of entry.
+        One fancy-indexed scatter.
         """
-        lids, sws, prts = request.terminal_arrays()
-        ports[sws, lids] = prts
-        if request.switch_lids:
-            sl = np.fromiter(
-                request.switch_lids, dtype=np.int64,
-                count=len(request.switch_lids),
-            )
-            si = np.fromiter(
-                request.switch_lids.values(), dtype=np.int64,
-                count=len(request.switch_lids),
-            )
-            ports[si, sl] = 0
+        lid_switch, lid_port = request.lid_endpoints()
+        if lids is None:
+            lids = np.arange(lid_switch.shape[0])
+        lids = lids[lid_switch[lids] >= 0]
+        ports[lid_switch[lids], lids] = lid_port[lids]
 
 
 # bfs_distances / all_pairs_switch_distances / equal_cost_candidates /

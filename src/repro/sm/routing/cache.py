@@ -21,6 +21,13 @@ migrations, incremental reroutes). :class:`RoutingState` removes that cost:
   from-scratch recomputation, so the routing tables built from them are
   byte-identical — the property-based tests assert this.
 
+* **incremental table fill** — the cache keeps the last table an engine
+  filled, with the inputs it was filled from, as a :class:`FillBase`. The
+  next fill starts from a copy of it and recomputes only the cells whose
+  inputs changed (:meth:`FillBase.dirty`), so a topology change pays for
+  the LID columns and switch rows it touched rather than the whole
+  ``n x LIDs`` table.
+
 All activity is counted in :class:`RoutingCacheStats`; the subnet manager
 exposes the counters as ``repro_routing_cache_*`` metrics and span
 attributes so PCt savings are observable.
@@ -35,6 +42,7 @@ import numpy as np
 
 from repro.fabric.graph import (
     bfs_distances,
+    changed_rows,
     edge_sources,
     equal_cost_candidates,
     equal_cost_candidates_batch,
@@ -43,10 +51,10 @@ from repro.fabric.graph import (
     switch_addition_affected_sources,
     switch_removal_affected_sources,
 )
-from repro.fabric.topology import Topology
+from repro.fabric.topology import SwitchFabricView, Topology
 from repro.sm.routing.parallel import ParallelRouter
 
-__all__ = ["RoutingCacheStats", "RepairEvent", "RoutingState"]
+__all__ = ["RoutingCacheStats", "RepairEvent", "FillBase", "RoutingState"]
 
 #: Above this switch count, per-destination candidate arrays are computed
 #: transiently (still batched) instead of being kept in the cache, bounding
@@ -106,6 +114,57 @@ class RepairEvent(NamedTuple):
     version: int
 
 
+@dataclass
+class FillBase:
+    """One engine's last filled table and the inputs it was filled from.
+
+    A destination-routed fill is a pure function of these inputs: cell
+    ``(s, lid)`` depends only on the distance column of the LID's
+    destination switch, on switch ``s``'s CSR row (its neighbours and
+    their ports, in order) and on where the LID leaves the fabric. So a
+    later fill equals this one everywhere except in the cells
+    :meth:`dirty` names.
+
+    ``ports`` is private to the cache — engines hand callers a copy — so
+    the vSwitch reconfigurer's in-place edits of the SM's current tables
+    never reach it. ``dist`` is a frozen snapshot: the cache never writes
+    to a matrix it has handed out (see :meth:`RoutingState._try_repair`).
+    ``lid_switch``/``lid_port`` give every LID's exit ``(switch, port)``,
+    ``-1`` for unused LIDs (see
+    :meth:`~repro.sm.routing.base.RoutingRequest.lid_endpoints`).
+    """
+
+    #: ``(engine name, balance policy)`` of the fill.
+    key: Tuple[str, str]
+    ports: np.ndarray
+    dist: np.ndarray
+    view: SwitchFabricView
+    lid_switch: np.ndarray
+    lid_port: np.ndarray
+
+    def dirty(
+        self,
+        dist: np.ndarray,
+        view: SwitchFabricView,
+        lid_switch: np.ndarray,
+        lid_port: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lids, rows)`` covering every cell the new inputs can change.
+
+        A LID column is dirty when its exit ``(switch, port)`` changed,
+        appeared or vanished, or when its destination's distance column
+        differs anywhere (an exact diff, not a predicate); a switch row is
+        dirty when its CSR row changed. Every other cell reads inputs
+        equal to the base's and so keeps its value.
+        """
+        moved = (lid_switch != self.lid_switch) | (lid_port != self.lid_port)
+        if dist is not self.dist:
+            column_changed = (dist != self.dist).any(axis=0)
+            used = np.flatnonzero(lid_switch >= 0)
+            moved[used] |= column_changed[lid_switch[used]]
+        return np.flatnonzero(moved), changed_rows(self.view, view)
+
+
 class RoutingState:
     """Version-keyed routing caches for one topology.
 
@@ -115,6 +174,12 @@ class RoutingState:
     synchronizes with ``topology.version``: unchanged -> serve cached
     arrays; a chain of recorded :class:`RepairEvent`\\ s -> incremental
     repair; anything else -> drop and recompute lazily.
+
+    It also holds the last :class:`FillBase`, which engines take with
+    :meth:`take_fill_base` and return with :meth:`keep_fill_base`. The
+    base is compared by content, not by version, so it survives any
+    mutation that keeps the switch count and LID range; switch additions
+    and removals drop it.
     """
 
     def __init__(
@@ -136,6 +201,7 @@ class RoutingState:
         self._rows: Dict[int, np.ndarray] = {}
         self._cand: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._port_maps: Optional[Tuple[dict, dict]] = None
+        self._fill_base: Optional[FillBase] = None
 
     # -- failure notifications ------------------------------------------------
 
@@ -159,6 +225,7 @@ class RoutingState:
     def note_switch_removal(self, w: int) -> None:
         """Record a removed switch (its dense index *before* removal)."""
         self._pending.append(RepairEvent("switch", w, -1, self.topology.version))
+        self._fill_base = None
 
     # -- addition notifications -----------------------------------------------
 
@@ -198,6 +265,7 @@ class RoutingState:
         self._pending.append(
             RepairEvent("switch_add", w, -1, self.topology.version)
         )
+        self._fill_base = None
 
     # -- cached accessors -------------------------------------------------------
 
@@ -250,27 +318,36 @@ class RoutingState:
         return pair
 
     def prefetch_candidates(
-        self, dests: Sequence[int]
+        self, dests: Sequence[int], rows: Optional[np.ndarray] = None
     ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Candidate arrays for many destinations, batched in one CSR pass."""
+        """Candidate arrays for many destinations, batched in one CSR pass.
+
+        With *rows*, each pair holds only those switches' rows (see
+        :func:`~repro.fabric.graph.equal_cost_candidates_batch`): a table
+        refill of a few switch rows reads just their edges. Row-restricted
+        arrays are never cached and count as neither hits nor misses.
+        """
         self._sync()
         out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         missing: List[int] = []
         for d in dests:
             hit = self._cand.get(d)
-            if hit is not None:
+            if hit is None:
+                missing.append(d)
+            elif rows is None:
                 self.stats.candidate_hits += 1
                 out[d] = hit
             else:
-                missing.append(d)
+                out[d] = (hit[0][rows], hit[1][rows])
         if missing:
-            self.stats.candidate_misses += len(missing)
             dist = self.distances()
             cols = dist[:, missing].copy()
             pairs = equal_cost_candidates_batch(
-                self.topology.fabric_view(), cols
+                self.topology.fabric_view(), cols, rows
             )
-            cache = self._cacheable()
+            cache = rows is None and self._cacheable()
+            if rows is None:
+                self.stats.candidate_misses += len(missing)
             for d, pair in zip(missing, pairs):
                 out[d] = pair
                 if cache:
@@ -298,6 +375,27 @@ class RoutingState:
                 rev[(s, port)] = peer
             self._port_maps = (fwd, rev)
         return self._port_maps
+
+    # -- table fill base ---------------------------------------------------------
+
+    def take_fill_base(
+        self, key: Tuple[str, str], shape: Tuple[int, int]
+    ) -> Optional[FillBase]:
+        """Hand over the kept :class:`FillBase` if *key* and the table
+        *shape* match, else None. Either way the cache lets go of it, so a
+        fill that fails halfway leaves no half-written base behind."""
+        base, self._fill_base = self._fill_base, None
+        if base is None or base.key != key or base.ports.shape != shape:
+            return None
+        return base
+
+    def keep_fill_base(self, base: FillBase) -> None:
+        """Keep *base* for the next fill; its ``ports`` must be private."""
+        self._fill_base = base
+
+    def drop_fill_base(self) -> None:
+        """Forget the kept base: the next fill runs in full."""
+        self._fill_base = None
 
     # -- synchronization --------------------------------------------------------
 

@@ -10,7 +10,15 @@ Two balancing policies are provided:
 
 * ``"lid-mod"`` (default) — destination-indexed spreading: candidate ports
   are chosen by ``lid % num_candidates``. Deterministic, vectorized, and
-  spreads consecutive LIDs over distinct ports.
+  spreads consecutive LIDs over distinct ports. With a shared
+  :class:`~repro.sm.routing.cache.RoutingState` the fill is incremental:
+  it starts from this engine's last table
+  (:class:`~repro.sm.routing.cache.FillBase`) and refills only the dirty
+  LID columns and switch rows, so a link flap costs what it changed. A
+  cold compute is the same fill with every LID column dirty; it runs
+  when there is no base, the switch count or ``top_lid`` changed, a
+  switch was added or removed, or the last compute fell back to another
+  engine. Either way the table is byte-identical to a cold recompute.
 * ``"least-loaded"`` — OpenSM-like greedy: track per (switch, port) path
   counts and pick the least-loaded minimal port. Exact but scalar; intended
   for small fabrics and tests of balancing properties.
@@ -18,16 +26,18 @@ Two balancing policies are provided:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.constants import LFT_UNSET
 from repro.errors import RoutingError
 from repro.sm.routing.base import (
     RoutingAlgorithm,
     RoutingRequest,
     RoutingTables,
 )
+from repro.sm.routing.cache import FillBase
 
 __all__ = ["MinHopRouting"]
 
@@ -49,45 +59,90 @@ class MinHopRouting(RoutingAlgorithm):
         dist = request.switch_distances()
         if (dist < 0).any():
             raise RoutingError("switch graph is disconnected")
-        ports = self._empty_tables(request)
-        self._program_local_entries(ports, request)
-
-        # Destination switch index -> LIDs that terminate there (or at an
-        # endpoint hanging off it).
-        dest_groups = request.dest_groups()
-
+        metadata = {"switch_distances": dist, "balance": self.balance}
         if self.balance == "lid-mod":
-            self._assign_lid_mod(request, dist, ports, dest_groups)
+            ports = self._fill_lid_mod(request, dist, metadata)
         else:
-            self._assign_least_loaded(request, dist, ports, dest_groups)
+            ports = self._empty_tables(request)
+            self._program_local_entries(ports, request)
+            self._assign_least_loaded(request, dist, ports, request.dest_groups())
+        return RoutingTables(algorithm=self.name, ports=ports, metadata=metadata)
 
-        return RoutingTables(
-            algorithm=self.name,
-            ports=ports,
-            metadata={"switch_distances": dist, "balance": self.balance},
-        )
+    def _fill_lid_mod(
+        self, request: RoutingRequest, dist: np.ndarray, metadata: dict
+    ) -> np.ndarray:
+        """The lid-mod table: refilled from the kept base, or in full.
 
-    def _assign_lid_mod(
-        self,
-        request: RoutingRequest,
-        dist: np.ndarray,
-        ports: np.ndarray,
-        dest_groups: Dict[int, List[int]],
-    ) -> None:
+        Records ``fill`` (``"refill"``/``"full"``), ``lids_refilled`` and
+        ``rows_refilled`` in *metadata*; a full fill counts every LID and
+        every row.
+        """
+        state = request.state
         n = request.num_switches
-        rows = np.arange(n)
-        # One batched CSR pass produces every destination's candidate
-        # arrays; the per-destination fill is a single 2D fancy-indexed
-        # scatter over all of its LIDs (no scalar LID loop).
-        cand_map = request.prefetch_candidates(sorted(dest_groups))
-        for dest_sw, lids in dest_groups.items():
+        key = (self.name, self.balance)
+        lid_switch, lid_port = request.lid_endpoints()
+        base = (
+            state.take_fill_base(key, (n, request.top_lid + 1))
+            if state is not None
+            else None
+        )
+        if base is None:
+            ports = self._empty_tables(request)
+            lids = np.flatnonzero(lid_switch >= 0)
+            rows = np.arange(0)
+        else:
+            ports = base.ports
+            lids, rows = base.dirty(dist, request.view, lid_switch, lid_port)
+            ports[:, lids] = LFT_UNSET
+            ports[rows] = LFT_UNSET
+        # Local exits first: of every dirty LID, and of every LID ending
+        # on a dirty row. The candidate scatters never touch them (a
+        # LID's own switch has no candidates toward itself).
+        local = np.zeros(lid_switch.shape[0], dtype=bool)
+        local[lids] = True
+        if rows.size:
+            local |= np.isin(lid_switch, rows)
+        self._program_local_entries(ports, request, np.flatnonzero(local))
+        self._scatter_lid_mod(request, ports, lids, lid_switch)
+        if rows.size:
+            all_lids = np.flatnonzero(lid_switch >= 0)
+            self._scatter_lid_mod(request, ports, all_lids, lid_switch, rows)
+        metadata["fill"] = "full" if base is None else "refill"
+        metadata["lids_refilled"] = int(lids.size)
+        metadata["rows_refilled"] = n if base is None else int(rows.size)
+        if state is None:
+            return ports
+        state.keep_fill_base(
+            FillBase(key, ports, dist, request.view, lid_switch, lid_port)
+        )
+        return ports.copy()
+
+    @staticmethod
+    def _scatter_lid_mod(
+        request: RoutingRequest,
+        ports: np.ndarray,
+        lids: np.ndarray,
+        lid_switch: np.ndarray,
+        rows: Optional[np.ndarray] = None,
+    ) -> None:
+        """Write ``lid % num_candidates`` ports for *lids* on *rows* (every
+        switch when None); one fancy-indexed scatter per destination."""
+        lids = lids[lid_switch[lids] >= 0]
+        if not lids.size:
+            return
+        dests = lid_switch[lids]
+        order = np.argsort(dests, kind="stable")
+        lids, dests = lids[order], dests[order]
+        uniq, starts = np.unique(dests, return_index=True)
+        dest_list = uniq.tolist()
+        # One batched CSR pass produces every destination's candidates.
+        cand_map = request.prefetch_candidates(dest_list, rows)
+        row_ids = np.arange(ports.shape[0]) if rows is None else rows
+        for dest_sw, group in zip(dest_list, np.split(lids, starts[1:])):
             cand, counts = cand_map[dest_sw]
-            mask = counts > 0
-            sel_rows = rows[mask]
-            sel_counts = counts[mask]
-            lid_arr = np.asarray(lids, dtype=np.int64)
-            sel = lid_arr[None, :] % sel_counts[:, None]
-            ports[np.ix_(sel_rows, lid_arr)] = cand[sel_rows[:, None], sel]
+            pos = np.flatnonzero(counts > 0)
+            sel = group[None, :] % counts[pos][:, None]
+            ports[np.ix_(row_ids[pos], group)] = cand[pos[:, None], sel]
 
     def _assign_least_loaded(
         self,

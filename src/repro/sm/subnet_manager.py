@@ -61,6 +61,10 @@ class ConfigureReport:
     repair_mode: str = ""
     #: BFS source trees the incremental repair actually reswept.
     sources_repaired: int = 0
+    #: How the path computation filled the tables: ``"refill"`` (only the
+    #: dirty cells of the engine's last table recomputed) or ``"full"``.
+    #: ``""`` outside :meth:`SubnetManager.handle_topology_change`.
+    fill: str = ""
 
     @property
     def lft_smps(self) -> int:
@@ -197,6 +201,9 @@ class SubnetManager:
             except RoutingError:
                 if self.fallback_engine is None:
                     raise
+                # A table filled by the fallback engine is no base for
+                # the primary's next fill.
+                self.routing_state.drop_fill_base()
                 tables = self.fallback_engine.timed_compute(request)
                 tables.metadata["fallback_from"] = self.engine.name
                 sp.set_attribute("fallback_to", self.fallback_engine.name)
@@ -209,7 +216,19 @@ class SubnetManager:
             sp.set_attribute(
                 "compute_mode", self.routing_state.router.last_mode
             )
+            # Engines without an incremental fill recompute every cell.
+            fill = tables.metadata.setdefault("fill", "full")
+            sp.set_attribute("fill", fill)
+            sp.set_attribute(
+                "lids_refilled",
+                tables.metadata.get("lids_refilled", request.num_lids),
+            )
+            sp.set_attribute(
+                "rows_refilled",
+                tables.metadata.get("rows_refilled", request.num_switches),
+            )
         metrics = get_hub().metrics
+        metrics.counter("repro_routing_fill_total", mode=fill).add(1)
         metrics.counter("repro_path_computations_total").add(1)
         metrics.gauge(
             "repro_path_compute_seconds", engine=self.engine.name
@@ -425,6 +444,7 @@ class SubnetManager:
             report.discovery = self.discover()
             tables = self.compute_routing()
             report.path_compute_seconds = tables.compute_seconds
+            report.fill = tables.metadata["fill"]
             report.distribution = self.distribute()
             delta = self.routing_state.stats.delta_since(before)
             if delta["full_recomputes"]:

@@ -6,6 +6,9 @@ the cache's own counters:
 * a warm-cache ``compute_routing`` performs **zero** BFS sweeps;
 * after a link failure the repair recomputes strictly fewer than ``n``
   source trees (and more than zero);
+* after a cable change MinHop refills only the dirty cells of its last
+  table, and falls back to a full fill where the kept table cannot be
+  trusted;
 * cached / incrementally repaired tables are **byte-identical** to a
   from-scratch computation — including under randomized failure + VM-churn
   sequences (property-based, below).
@@ -19,13 +22,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TopologyError
+from repro.core.reconfig import VSwitchReconfigurer
+from repro.errors import RoutingError, TopologyError
 from repro.fabric.builders.generic import build_ring
 from repro.fabric.graph import all_pairs_switch_distances
 from repro.fabric.node import Switch
 from repro.fabric.presets import scaled_fattree
+from repro.fabric.topology import TopologyMutation
 from repro.sm.routing.base import RoutingRequest
 from repro.sm.routing.cache import RoutingState
+from repro.sm.routing.minhop import MinHopRouting
 from repro.sm.routing.registry import create_engine
 from repro.sm.subnet_manager import SubnetManager
 
@@ -160,7 +166,14 @@ class TestWarmCache:
         assert delta["misses"] == 0
 
     def test_candidate_arrays_cached(self):
-        _, sm = make_sm("minhop")
+        built, sm = make_sm("minhop")
+        # A warm compute refills nothing and asks for no candidates; a
+        # LID past top_lid forces a full fill on the unchanged graph, so
+        # every destination's candidates must come from the cache.
+        topo = built.topology
+        sm.lid_manager.assign_extra_lid(
+            topo.port_of_lid(topo.terminals()[0].lid)
+        )
         before = sm.routing_state.stats.snapshot()
         sm.compute_routing()
         delta = sm.routing_state.stats.delta_since(before)
@@ -379,6 +392,145 @@ class TestAdditionRepair:
         assert delta["bfs_sweeps"] == 0
 
 
+def link_ends(link):
+    """Dense switch indices of an inter-switch cable's two ends."""
+    end_a, end_b = link.ends
+    return {end_a.node.index, end_b.node.index}
+
+
+class TestIncrementalFill:
+    """MinHop's lid-mod fill refills only the cells a change touched, and
+    the result is byte-identical to a from-scratch computation."""
+
+    @staticmethod
+    def _sm(profile="2l-small", engine="minhop"):
+        built = scaled_fattree(profile)
+        sm = SubnetManager(built.topology, engine=engine, built=built)
+        sm.initial_configure(with_discovery=False)
+        return built, sm
+
+    @staticmethod
+    def _assert_cold(sm, built):
+        scratch = fresh_tables(sm.topology, built, "minhop")
+        assert sm.current_tables.ports.tobytes() == scratch.ports.tobytes()
+
+    @staticmethod
+    def _add_link(topology):
+        """An add_link between two switches that both have a free port."""
+        a, b = [
+            sw for sw in topology.switches
+            if next(sw.free_ports(), None) is not None
+        ][:2]
+        return TopologyMutation(
+            kind="add_link",
+            a=a.name,
+            port_a=next(a.free_ports()).num,
+            b=b.name,
+            port_b=next(b.free_ports()).num,
+        )
+
+    @pytest.mark.parametrize("profile", ["2l-small", "3l-small"])
+    def test_link_remove_restore_add_refill(self, profile):
+        built, sm = self._sm(profile)
+        assert sm.current_tables.metadata["fill"] == "full"  # cold start
+        used = sm.current_tables.metadata["lids_refilled"]
+        removal = TopologyMutation.removing(safe_links(sm.topology)[0])
+        for mutation in (
+            removal, removal.restoring(), self._add_link(sm.topology)
+        ):
+            report = sm.handle_topology_change(mutation, verify=False)
+            metadata = sm.current_tables.metadata
+            assert report.fill == metadata["fill"] == "refill"
+            # The cable's two endpoint rows, and a strict subset of the
+            # LID columns.
+            assert metadata["rows_refilled"] == 2
+            assert 0 < metadata["lids_refilled"] < used
+            self._assert_cold(sm, built)
+
+    def test_switch_add_and_remove_fill_in_full(self):
+        built, sm = self._sm()
+        peers = [
+            sw for sw in built.roots if next(sw.free_ports(), None) is not None
+        ][:2]
+        grow = TopologyMutation(
+            kind="add_switch",
+            a="grown",
+            num_ports=4,
+            cables=tuple(
+                (i, peer.name, next(peer.free_ports()).num)
+                for i, peer in enumerate(peers, start=1)
+            ),
+        )
+        assert sm.handle_topology_change(grow, verify=False).fill == "full"
+        self._assert_cold(sm, built)
+        shrink = TopologyMutation("remove_switch", a="grown")
+        assert sm.handle_topology_change(shrink, verify=False).fill == "full"
+        self._assert_cold(sm, built)
+
+    def test_least_loaded_fills_in_full(self):
+        engine = MinHopRouting("least-loaded")
+        built, sm = self._sm(engine=engine)
+        removal = TopologyMutation.removing(safe_links(sm.topology)[0])
+        for mutation in (removal, removal.restoring()):
+            report = sm.handle_topology_change(mutation, verify=False)
+            assert report.fill == "full"
+            request = RoutingRequest.from_topology(sm.topology, built=built)
+            scratch = MinHopRouting("least-loaded").compute(request)
+            assert sm.current_tables.ports.tobytes() == scratch.ports.tobytes()
+
+    def test_full_fill_after_fallback_compute(self, monkeypatch):
+        built, sm = self._sm()
+        sm.fallback_engine = create_engine("updn")
+        real = sm.engine.compute
+
+        def fail_once(request):
+            monkeypatch.setattr(sm.engine, "compute", real)
+            raise RoutingError("forced failure")
+
+        monkeypatch.setattr(sm.engine, "compute", fail_once)
+        sm.compute_routing()
+        assert sm.current_tables.metadata["fallback_from"] == "minhop"
+        link = safe_links(sm.topology)[0]
+        report = sm.handle_link_failure(link)
+        assert report.fill == "full"
+        self._assert_cold(sm, built)
+
+    @pytest.mark.parametrize("edit", ["swap_lids", "invalidate_lid"])
+    def test_vswitch_edit_then_flap_equals_cold(self, edit):
+        built, sm = self._sm()
+        link = safe_links(sm.topology)[0]
+        # LIDs away from the flapped cable: their columns stay clean, so
+        # only a base shielded from the edit refills them correctly.
+        far = [
+            t.lid for t in sm.topology.terminals()
+            if t.switch_index not in link_ends(link)
+        ]
+        reconfigurer = VSwitchReconfigurer(sm)
+        if edit == "swap_lids":
+            reconfigurer.swap_lids(far[0], far[-1])
+        else:
+            reconfigurer.invalidate_lid(far[0])
+        removal = TopologyMutation.removing(link)
+        for mutation in (removal, removal.restoring()):
+            report = sm.handle_topology_change(mutation, verify=False)
+            assert report.fill == "refill"
+            self._assert_cold(sm, built)
+
+    def test_lid_moved_within_leaf_refills_its_column(self):
+        built, sm = self._sm()
+        topo = sm.topology
+        leaf = next(sw for sw in topo.switches if len(sw.attached_hcas()) > 1)
+        src, dst = (hca.port(1) for hca in leaf.attached_hcas()[:2])
+        lid = sm.lid_manager.lids_on_port(src)[0]
+        sm.lid_manager.move_lid(lid, dst)
+        sm.compute_routing()
+        metadata = sm.current_tables.metadata
+        assert metadata["fill"] == "refill"
+        assert metadata["lids_refilled"] == 1
+        assert metadata["rows_refilled"] == 0
+        self._assert_cold(sm, built)
+
+
 class TestTransportSharing:
     def test_transport_uses_shared_state(self):
         _, sm = make_sm("minhop")
@@ -425,6 +577,10 @@ class TestObservability:
         spans = [s for s in get_hub().all_spans() if s.name == "path_compute"]
         assert spans[-1].attributes.get("cache_hit") is True
         assert spans[-1].attributes.get("bfs_sweeps") == 0
+        assert spans[-1].attributes.get("fill") == "refill"
+        assert spans[-1].attributes.get("lids_refilled") == 0
+        assert spans[-1].attributes.get("rows_refilled") == 0
+        assert 'repro_routing_fill_total{mode="refill"}' in exposition
 
 
 # -- property-based equivalence under random failures + churn -----------------
@@ -448,7 +604,14 @@ def test_cached_tables_equal_scratch_after_random_churn(engine, data):
     ops = data.draw(
         st.lists(
             st.sampled_from(
-                ["fail_link", "fail_switch", "boot", "stop", "reroute"]
+                [
+                    "fail_link",
+                    "fail_switch",
+                    "boot",
+                    "stop",
+                    "reroute",
+                    "swap_lids",
+                ]
             ),
             min_size=1,
             max_size=6,
@@ -482,6 +645,14 @@ def test_cached_tables_equal_scratch_after_random_churn(engine, data):
             sm.lid_manager.release_lid(extra_lids.pop())
         elif op == "reroute":
             sm.incremental_reroute()
+        elif op == "swap_lids":
+            lids = [t.lid for t in topo.terminals()]
+            a, b = data.draw(
+                st.lists(
+                    st.sampled_from(lids), min_size=2, max_size=2, unique=True
+                )
+            )
+            VSwitchReconfigurer(sm).swap_lids(a, b)
 
     tables = sm.compute_routing()
     scratch = fresh_tables(topo, built, engine)

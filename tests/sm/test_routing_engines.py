@@ -16,12 +16,14 @@ from repro.fabric.builders.generic import (
     build_single_switch,
     build_torus_2d,
 )
+from repro.fabric.graph import changed_rows
 from repro.fabric.presets import scaled_fattree
 from repro.sm.routing.base import (
     RoutingRequest,
     all_pairs_switch_distances,
     bfs_distances,
     equal_cost_candidates,
+    equal_cost_candidates_batch,
 )
 from repro.sm.routing.registry import available_engines, create_engine, register_engine
 from repro.sm.subnet_manager import SubnetManager
@@ -282,6 +284,35 @@ class TestGraphHelpers:
         assert counts[0] == 0  # destination itself
         assert counts[1] == 1 and counts[3] == 1
         assert counts[2] == 2  # two equal-cost ways around the ring
+
+    def test_row_restricted_candidates_match_full_rows(self):
+        view = build_torus_2d(3, 4, 1).topology.fabric_view()
+        dist = all_pairs_switch_distances(view)
+        rows = np.array([7, 0, 5])
+        full = equal_cost_candidates_batch(view, dist)
+        for (cand, counts), (sub, sub_counts) in zip(
+            full, equal_cost_candidates_batch(view, dist, rows)
+        ):
+            assert np.array_equal(sub_counts, counts[rows])
+            for i, r in enumerate(rows):
+                k = counts[r]
+                assert np.array_equal(sub[i, :k], cand[r, :k])
+
+    def test_changed_rows_are_the_cable_ends(self):
+        topo = build_ring(6, 1).topology
+        before = topo.fabric_view()
+        link = next(
+            link for link in topo.links
+            if all(end.node.is_switch for end in link.ends)
+        )
+        ends = sorted(end.node.index for end in link.ends)
+        topo.remove_link(link)
+        after = topo.fabric_view()
+        assert changed_rows(before, after).tolist() == ends
+        topo.restore_link(link)
+        assert changed_rows(after, topo.fabric_view()).tolist() == ends
+        assert changed_rows(before, topo.fabric_view()).size == 0
+        assert changed_rows(before, before).size == 0
 
     def test_timed_compute_stamps_pct(self, ft_request):
         tables = create_engine("minhop").timed_compute(ft_request)
